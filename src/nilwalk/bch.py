@@ -10,6 +10,17 @@ series at words of length step, so the whole computation is exact.
 The coefficient table is derived here from the combinatorial formula and
 is *validated* by the associativity tests rather than trusted as a
 transcription.
+
+Two evaluators share the word table and the nested-suffix recursion.
+bch_coords is generic over the scalar type, for symbolic callers.
+bch_product is the exact group law: it writes x and y over one common
+denominator d and brackets their integer numerators with the algebra's
+integer table (denominator D), so a length-L word's nested bracket is an
+integer vector over d^L D^(L-1).  With C_L the lcm of the length-L
+coefficients' denominators, the length-L terms are summed as integers and
+divided by C_L d^L D^(L-1) once; one Fraction per output coordinate is
+built at the end.  The truncation of the series at the step is the one of
+Casas & Murua, J. Math. Phys. 50, 033513 (2009).
 """
 
 from __future__ import annotations
@@ -18,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
-from .lie_core import LieVector, StructureConstants
+from .lie_core import LieVector, StructureConstants, integer_numerators
 
 __all__ = [
     "bch_word_coefficients",
@@ -28,7 +39,6 @@ __all__ = [
     "GroupElement",
     "Word",
     "word_eval",
-    "difference",
 ]
 
 MAX_STEP = 6
@@ -87,12 +97,21 @@ def bch_word_coefficients(max_len: int):
     return table
 
 
-def bch_coords(sc: StructureConstants, xs, ys):
-    """Dynkin series on raw coordinate sequences (generic scalars)."""
-    step = sc.step
-    out = [a + b for a, b in zip(xs, ys)]
-    if step < 2:
-        return out
+@lru_cache(maxsize=None)
+def _integer_word_coefficients(max_len: int):
+    """({word: C_L * c_w}, {L: C_L}) with C_L the lcm of the denominators
+    of the length-L coefficients, so every scaled coefficient is an integer."""
+    table = bch_word_coefficients(max_len)
+    scale = {}
+    for word, c in table.items():
+        scale[len(word)] = lcm(scale.get(len(word), 1), c.denominator)
+    ints = {w: c.numerator * (scale[len(w)] // c.denominator) for w, c in table.items()}
+    return ints, scale
+
+
+def _nested_brackets(step, bracket, xs, ys):
+    """Yield (word, right-nested bracket of the word at x, y) over the
+    Dynkin table, each suffix bracket computed once."""
     vecs = (xs, ys)
     suffix_cache = {}
 
@@ -102,12 +121,23 @@ def bch_coords(sc: StructureConstants, xs, ys):
         if len(word) == 1:
             v = list(vecs[word[0]])
         else:
-            v = sc.bracket_coords(vecs[word[0]], nested(word[1:]))
+            v = bracket(vecs[word[0]], nested(word[1:]))
         suffix_cache[word] = v
         return v
 
-    for word, c in bch_word_coefficients(step).items():
-        v = nested(word)
+    for word in bch_word_coefficients(step):
+        yield word, nested(word)
+
+
+def bch_coords(sc: StructureConstants, xs, ys):
+    """Dynkin series on raw coordinate sequences (generic scalars)."""
+    step = sc.step
+    out = [a + b for a, b in zip(xs, ys)]
+    if step < 2:
+        return out
+    table = bch_word_coefficients(step)
+    for word, v in _nested_brackets(step, sc.bracket_coords, xs, ys):
+        c = table[word]
         for k in range(sc.dim):
             if v[k]:
                 out[k] = out[k] + c * v[k]
@@ -115,8 +145,32 @@ def bch_coords(sc: StructureConstants, xs, ys):
 
 
 def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector:
-    """log(exp x * exp y), exact."""
-    return LieVector(bch_coords(sc, x.coords, y.coords))
+    """log(exp x * exp y), exact, on integer numerators."""
+    if x.dim != sc.dim or y.dim != sc.dim:
+        raise ValueError("dimension mismatch in BCH product")
+    step = sc.step
+    if step < 2:
+        return x + y
+    nums, d = integer_numerators(x.coords + y.coords)
+    xs, ys = nums[: sc.dim], nums[sc.dim :]
+    D = sc.integer_table[0]
+    coeffs, scale = _integer_word_coefficients(step)
+    sums = {L: [0] * sc.dim for L in scale}
+    for word, v in _nested_brackets(step, sc.integer_bracket, xs, ys):
+        e, acc = coeffs[word], sums[len(word)]
+        for k, a in enumerate(v):
+            if a:
+                acc[k] += e * a
+    # length-L terms sit over C_L d^L D^(L-1); bring all onto their lcm M
+    dens = {L: C * d**L * D ** (L - 1) for L, C in scale.items()}
+    M = lcm(d, *dens.values())
+    out = [(a + b) * (M // d) for a, b in zip(xs, ys)]
+    for L, acc in sums.items():
+        f = M // dens[L]
+        for k, a in enumerate(acc):
+            if a:
+                out[k] += a * f
+    return LieVector(Fraction(n, M) for n in out)
 
 
 @dataclass(frozen=True)
@@ -182,10 +236,3 @@ def word_eval(sc: StructureConstants, word: Word, generators) -> GroupElement:
             raise ValueError(f"letter {l} out of range")
         acc = bch_product(sc, acc, generators[l].log)
     return GroupElement(acc)
-
-
-def difference(sc: StructureConstants, w1: Word, w2: Word, generators) -> LieVector:
-    """log(W2 * W1^(-1)) for the two evaluated words."""
-    g1 = word_eval(sc, w1, generators)
-    g2 = word_eval(sc, w2, generators)
-    return bch_product(sc, g2.log, -g1.log)

@@ -2,10 +2,11 @@
 
 A StructureConstants object stores the bracket table of a finite
 dimensional Lie algebra over Q in a fixed basis.  All arithmetic in this
-module is exact (fractions.Fraction); nothing here touches floating
-point.  The basis is required to be adapted to the lower central series:
-writing g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be spanned by
-a trailing block of basis vectors.  Adaptedness is *verified*, never
+module is exact (fractions.Fraction, and integer numerators over a common
+denominator in the exact bracket); nothing here touches floating point.
+The basis is required to be adapted to the lower central series: writing
+g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be spanned by a
+trailing block of basis vectors.  Adaptedness is *verified*, never
 repaired: supplying a basis that does not have this shape raises
 NotAdaptedError.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 
@@ -158,6 +160,23 @@ class CentralSeries:
         return range(self.starts[p], end)
 
 
+def integer_numerators(coords):
+    """(numerators, d): the Fractions coords written over one common denominator d."""
+    d = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (d // c.denominator) for c in coords], d
+
+
+def _bracket_loop(table, dim, xs, ys):
+    out = [0] * dim
+    for (i, j), pairs in table.items():
+        c = xs[i] * ys[j] - xs[j] * ys[i]
+        if not c:
+            continue
+        for k, w in pairs:
+            out[k] = out[k] + w * c
+    return out
+
+
 class StructureConstants:
     """Bracket table c_{ij}^k of a rational nilpotent Lie algebra.
 
@@ -194,6 +213,8 @@ class StructureConstants:
             raise ValueError("names length must equal dim")
         self.names = tuple(str(n) for n in names)
         self._series = None
+        self._integer = None
+        self._quotients = {}
 
     # -- bracket ---------------------------------------------------------
 
@@ -206,21 +227,36 @@ class StructureConstants:
         """
         if len(xs) != self.dim or len(ys) != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        out = [0] * self.dim
-        for (i, j), pairs in self._table.items():
-            c = xs[i] * ys[j] - xs[j] * ys[i]
-            if not c:
-                continue
-            for k, w in pairs:
-                out[k] = out[k] + w * c
-        return out
+        return _bracket_loop(self._table, self.dim, xs, ys)
+
+    @property
+    def integer_table(self):
+        """(D, table): the bracket table times its common denominator D.
+
+        table has the shape of the rational one, {(i, j): ((k, w), ...)},
+        with integer weights w = D * c_ij^k.  Built once per algebra.
+        """
+        if self._integer is None:
+            D = lcm(*(w.denominator for pairs in self._table.values() for _, w in pairs))
+            table = {
+                ij: tuple((k, w.numerator * (D // w.denominator)) for k, w in pairs)
+                for ij, pairs in self._table.items()
+            }
+            self._integer = (D, table)
+        return self._integer
+
+    def integer_bracket(self, xs, ys):
+        """D * [xs, ys] on integer coordinate sequences, D as in integer_table."""
+        return _bracket_loop(self.integer_table[1], self.dim, xs, ys)
 
     def bracket(self, x: LieVector, y: LieVector) -> LieVector:
-        return LieVector(self.bracket_coords(x.coords, y.coords))
-
-    def bracket_table(self):
-        """Read-only view {(i, j): ((k, c), ...)} with i < j."""
-        return dict(self._table)
+        """Exact bracket, run on the integer numerators of x and y."""
+        if x.dim != self.dim or y.dim != self.dim:
+            raise ValueError("dimension mismatch in bracket")
+        xs, dx = integer_numerators(x.coords)
+        ys, dy = integer_numerators(y.coords)
+        den = self.integer_table[0] * dx * dy
+        return LieVector(Fraction(n, den) for n in self.integer_bracket(xs, ys))
 
     # -- derived structure ------------------------------------------------
 
@@ -343,19 +379,35 @@ def project(sc: StructureConstants, x: LieVector, p: int):
 
 
 def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
-    """Structure constants of g / g^(p+1), in the inherited basis."""
+    """Structure constants of g / g^(p+1), in the inherited basis.
+
+    Memoized per algebra, like its series.  The projection onto the
+    quotient drops the coordinates from index dim(g / g^(p+1)) on, and
+    the quotient's series is the image of g's levels 0..p.
+    """
     ser = sc.series
     if not (0 <= p < ser.step):
         raise ValueError(f"level {p} out of range for step {ser.step}")
-    keep = ser.starts[p + 1] if p + 1 < ser.step else sc.dim
-    brackets = {}
-    for (i, j), pairs in sc._table.items():
-        if i >= keep or j >= keep:
-            continue
-        out = {k: v for k, v in pairs if k < keep}
-        if out:
-            brackets[(i, j)] = out
-    return StructureConstants(keep, brackets, names=sc.names[:keep])
+    quotient = sc._quotients.get(p)
+    if quotient is None:
+        keep = ser.starts[p + 1] if p + 1 < ser.step else sc.dim
+        brackets = {}
+        for (i, j), pairs in sc._table.items():
+            if i >= keep or j >= keep:
+                continue
+            out = {k: v for k, v in pairs if k < keep}
+            if out:
+                brackets[(i, j)] = out
+        quotient = StructureConstants(keep, brackets, names=sc.names[:keep])
+        # the series of g / g^(p+1) is the image of g's first p+1 levels,
+        # so it is read off rather than recomputed
+        levels = tuple(
+            tuple(LieVector(v.coords[:keep]) for v in level if any(v.coords[:keep]))
+            for level in ser.levels[: p + 1]
+        )
+        quotient._series = CentralSeries(levels, ser.dims[: p + 1], ser.starts[: p + 1], p + 1)
+        sc._quotients[p] = quotient
+    return quotient
 
 
 def rescale_levels(sc: StructureConstants, factors) -> StructureConstants:

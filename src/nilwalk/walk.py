@@ -53,11 +53,16 @@ CHUNK = 8192  # fixed sample chunking so results never depend on worker count
 
 
 def worker_count():
+    """Process count from NILWALK_WORKERS (default 1); anything but an
+    integer >= 1 raises ValueError."""
     raw = os.environ.get("NILWALK_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NILWALK_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 class ObservableError(Exception):

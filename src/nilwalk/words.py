@@ -14,6 +14,11 @@ unrolls to log(L_p R_p^(-1)) = [ ... [k_0 V, k_1 V], ..., k_p V ] modulo
 g^(p+1), which verify_word_bracket_identity checks exactly, level by
 level.  The counts satisfy k_q >= k_{q-1} componentwise for q >= 2; k_0
 and k_1 are unconstrained.
+
+Only levels <= p are ever read, so both the identity check and the pair
+search evaluate in the quotient g / g^(p+1): the projection onto it is a
+Lie algebra homomorphism, and in the adapted basis it drops the trailing
+coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bch import Word, bch_product, word_eval
-from .lie_core import LieVector, StructureConstants, project
+from .lie_core import LieVector, StructureConstants, project, quotient_algebra
 
 __all__ = [
     "WordPair",
@@ -96,8 +101,16 @@ def build_lr(p: int, seeds, m: int) -> WordPair:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """Outcome of verify_word_bracket_identity.
+
+    word_log = log(W1 W2^(-1)) and bracket_log = the k-weighted nested
+    bracket are coordinates in the level-p quotient g / g^(p+1), i.e. the
+    first dim(g / g^(p+1)) coordinates of the full-algebra vectors.
+    residual = word_log - bracket_log, the coordinates on levels <= p.
+    """
+
     ok: bool
-    residual: tuple  # coordinates of (log difference - nested bracket), levels <= p
+    residual: tuple
     word_log: LieVector
     bracket_log: LieVector
 
@@ -140,32 +153,36 @@ def _as_group(generators, sc):
     return out
 
 
+def _in_quotient(sc: StructureConstants, p: int, generators):
+    """The quotient g / g^(p+1) and the generators projected onto it."""
+    gens = [g if isinstance(g, LieVector) else LieVector(g) for g in generators]
+    if any(g.dim != sc.dim for g in gens):
+        raise ValueError(f"generators must have dimension {sc.dim}")
+    q_sc = quotient_algebra(sc, p)
+    return q_sc, [LieVector(g.coords[: q_sc.dim]) for g in gens]
+
+
 def verify_word_bracket_identity(
     sc: StructureConstants, pair: WordPair, generators
 ) -> IdentityCheck:
     """Check log(W1 W2^(-1)) == [ ... [k_0 V, k_1 V], ..., k_p V] mod g^(p+1).
 
-    generators is a sequence of LieVector logs (exact rationals).  The
-    residual lists the coordinates of the discrepancy on levels 0..p; the
-    identity holds iff they are all exactly zero.
+    generators is a sequence of LieVector logs (exact rationals).  Both
+    sides are evaluated in g / g^(p+1).  The residual lists the
+    coordinates of the discrepancy on levels 0..p; the identity holds iff
+    they are all exactly zero.
     """
-    gens = [g if isinstance(g, LieVector) else LieVector(g) for g in generators]
+    q_sc, gens = _in_quotient(sc, min(pair.level, sc.step - 1), generators)
     if len(gens) < pair.m:
         raise ValueError("not enough generators for the pair's alphabet")
-    logL, logR = word_pair_logs(sc, pair, gens)
-    word_log = bch_product(sc, logL, -logR)
+    logL, logR = word_pair_logs(q_sc, pair, gens)
+    word_log = bch_product(q_sc, logL, -logR)
 
     acc = _combo(gens, pair.k_sequence[0])
     for kq in pair.k_sequence[1:]:
-        acc = sc.bracket(acc, _combo(gens, kq))
+        acc = q_sc.bracket(acc, _combo(gens, kq))
 
-    diff = word_log - acc
-    residual = []
-    for q in range(pair.level + 1):
-        if q >= sc.step:
-            break
-        residual.extend(project(sc, diff, q))
-    residual = tuple(residual)
+    residual = (word_log - acc).coords
     return IdentityCheck(
         ok=not any(residual),
         residual=residual,
@@ -194,13 +211,32 @@ class DiophantineReport:
     float_error_bound: float
 
 
+# Largest scan chunk, in rows: a chunk is the (2 q_max + 1)^(d-1) grid
+# over the trailing coordinates (the whole 2 q_max + 1 line for d = 1).
+# 2^18 rows kept a chunk's arrays under 60 MB for d <= 8 (measured at
+# d = 4, q_max = 31), and admits every d <= 2 scan up to q_max = 10000
+# and d = 3 up to q_max = 255.
+MAX_SCAN_ROWS = 1 << 18
+
+
 def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
+    """Scan min |n.v - m| * |n|^tau over 0 < |n| <= q_max.
+
+    The scan runs in chunks over the leading coordinate of n; a chunk of
+    more than MAX_SCAN_ROWS rows raises ValueError before any allocation.
+    """
     v = np.asarray([float(x) for x in vector], dtype=float)
     d = v.size
     if d == 0:
         raise ValueError("empty vector")
     if q_max < 1:
         raise ValueError("q_max must be positive")
+    rows = (2 * q_max + 1) ** max(d - 1, 1)
+    if rows > MAX_SCAN_ROWS:
+        raise ValueError(
+            f"Diophantine scan too large: d={d}, q_max={q_max} needs chunks of "
+            f"{rows} rows, over the limit of {MAX_SCAN_ROWS}; lower q_max"
+        )
     rng1 = np.arange(-q_max, q_max + 1)
 
     best = math.inf
@@ -284,15 +320,16 @@ def nice_pair_search(
     Seeds run over words of length 1..2 for the base pair and length 0..2
     for the fillers, in a fixed lexicographic order, capped at budget.
     For every candidate the exact level-p block of log(W1 W2^(-1)) is
-    computed; zero blocks are skipped (for a two-degenerate level every
-    candidate lands there, and the search reports failure), nonzero
-    blocks are scanned and the largest gamma_hat wins.  Ties keep the
+    computed in g / g^(p+1); zero blocks are skipped (for a
+    two-degenerate level every candidate lands there, and the search
+    reports failure), nonzero blocks are scanned and the largest
+    gamma_hat wins.  Ties keep the
     earliest candidate, so results are reproducible.
     """
-    gens = [g if isinstance(g, LieVector) else LieVector(g) for g in generators]
-    m = len(gens)
     if not (1 <= p < sc.step):
         raise ValueError(f"level must be in 1..{sc.step - 1}")
+    q_sc, gens = _in_quotient(sc, p, generators)
+    m = len(gens)
     n_p = sc.dims[p]
     if tau is None:
         tau = float(n_p)
@@ -309,9 +346,9 @@ def nice_pair_search(
             break
         tried += 1
         pair = build_lr(p, seeds, m)
-        logL, logR = word_pair_logs(sc, pair, gens)
-        h = bch_product(sc, logL, -logR)
-        block = project(sc, h, p)
+        logL, logR = word_pair_logs(q_sc, pair, gens)
+        h = bch_product(q_sc, logL, -logR)
+        block = project(q_sc, h, p)
         if not any(block):
             zeros += 1
             continue

@@ -13,11 +13,12 @@ from nilwalk import catalog
 from nilwalk.bch import (
     GroupElement,
     Word,
+    bch_coords,
     bch_product,
     bch_word_coefficients,
     word_eval,
 )
-from nilwalk.lie_core import LieVector
+from nilwalk.lie_core import LieVector, rescale_levels
 
 F = Fraction
 X, Y = 0, 1
@@ -27,6 +28,41 @@ def small_vec(dim):
     return st.lists(
         st.fractions(-2, 2, max_denominator=3), min_size=dim, max_size=dim
     ).map(LieVector)
+
+
+# the default corpus has integer structure constants (D = 1); these two
+# exercise the integer kernels with D = 2 and D = 60
+DENOMINATOR_ALGEBRAS = [
+    catalog.random_step3(3, 3, 2, seed=0),
+    rescale_levels(catalog.filiform(5), [1, F(2, 3), F(5, 2), 3]),
+]
+ALGEBRAS = [sc for _, sc in catalog.default_corpus()] + DENOMINATOR_ALGEBRAS
+
+
+def mixed_vec(dim):
+    """A zero vector, or coordinates with unrelated denominators."""
+    return st.one_of(
+        st.just(LieVector.zero(dim)),
+        st.lists(
+            st.fractions(-3, 3, max_denominator=12), min_size=dim, max_size=dim
+        ).map(LieVector),
+    )
+
+
+def test_denominator_algebras_have_denominators():
+    assert [sc.integer_table[0] for sc in DENOMINATOR_ALGEBRAS] == [2, 60]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_kernels_match_generic(data):
+    """The integer bracket and BCH product equal the generic Fraction
+    evaluation of the same formulas, exactly."""
+    sc = data.draw(st.sampled_from(ALGEBRAS))
+    x = data.draw(mixed_vec(sc.dim))
+    y = data.draw(mixed_vec(sc.dim))
+    assert sc.bracket(x, y) == LieVector(sc.bracket_coords(x.coords, y.coords))
+    assert bch_product(sc, x, y) == LieVector(bch_coords(sc, x.coords, y.coords))
 
 
 def test_low_order_coefficients():

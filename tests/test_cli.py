@@ -84,6 +84,9 @@ def test_words_exit_codes(capsys):
     )
     doc = json.loads(out)
     assert code == 1 and not doc["found"] and doc["zero_candidates"] == 25
+    # level 2 has d = 8: the default q_max = 100 scan is refused, not run
+    code, _, err = run(capsys, "words", "example_5_6", "-p", "2")
+    assert code == 2 and "d=8, q_max=100" in err
 
 
 def test_gap_min_gap_gate(capsys):
@@ -112,6 +115,15 @@ def test_correlate_csv_contract(capsys, tmp_path):
     rows = [l.split(",") for l in lines[2:]]
     assert [r[0] for r in rows] == ["2", "8"]
     assert all(len(r) == 5 and int(r[4]) == 4000 for r in rows)
+
+
+def test_bad_worker_count_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NILWALK_WORKERS", "abc")
+    code, out, err = run(
+        capsys, "correlate", "--preset", "circle-golden", "--character", "1",
+        "--times", "2", "--samples", "100",
+    )
+    assert code == 2 and out == "" and "NILWALK_WORKERS" in err
 
 
 def test_correlate_deterministic_bytes(capsys, tmp_path):

@@ -15,6 +15,7 @@ from nilwalk.lie_core import (
     algebra_to_json,
     check_jacobi,
     direct_product,
+    lower_central_series,
     project,
     quotient_algebra,
     rescale_levels,
@@ -132,6 +133,15 @@ def test_quotient_algebra():
     assert check_jacobi(q).ok
     # the quotient of the quotient at the same level is itself
     assert quotient_algebra(q, 2).dims == q.dims
+
+
+def test_quotient_series_is_the_image_of_the_levels():
+    # quotient_algebra reads the series off its parent; recomputing agrees
+    for _, sc in catalog.default_corpus():
+        for p in range(sc.step):
+            q = quotient_algebra(sc, p)
+            assert quotient_algebra(sc, p) is q
+            assert q.series == lower_central_series(q)
 
 
 def test_direct_product_is_adapted():

@@ -19,6 +19,7 @@ from nilwalk.walk import (
     transfer_eigenvalue,
     validate_observable,
     walk_config,
+    worker_count,
 )
 
 F = Fraction
@@ -153,6 +154,17 @@ def test_correlation_deterministic_and_worker_independent():
         else:
             os.environ["NILWALK_WORKERS"] = old
     assert a == c
+
+
+def test_worker_count_parses_or_rejects(monkeypatch):
+    monkeypatch.delenv("NILWALK_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("NILWALK_WORKERS", "3")
+    assert worker_count() == 3
+    for raw in ("abc", "", "1.5", "0", "-2"):
+        monkeypatch.setenv("NILWALK_WORKERS", raw)
+        with pytest.raises(ValueError, match="NILWALK_WORKERS"):
+            worker_count()
 
 
 def test_correlation_rejects_invalid_observable():

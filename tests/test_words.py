@@ -1,14 +1,15 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk import catalog
+from nilwalk import catalog, words
 from nilwalk.bch import GroupElement, bch_product, word_eval
-from nilwalk.lie_core import LieVector, project
+from nilwalk.lie_core import LieVector, project, quotient_algebra
 from nilwalk.words import (
     build_lr,
     diophantine_estimate,
@@ -138,6 +139,35 @@ def test_step4_quotient_kills_all_pairs():
         assert not any(project(sc, h, 3))
 
 
+def test_quotient_first_matches_full_algebra(monkeypatch):
+    """Evaluating in g / g^(p+1) gives the full-algebra results on levels
+    <= p, for every proper quotient of every corpus algebra."""
+    rng = random.Random(17)
+    searches = []
+    for _, sc in catalog.default_corpus():
+        gens = rational_generators(sc, 2, seed=rng.randint(0, 999))
+        for p in range(sc.step - 1):
+            q_dim = quotient_algebra(sc, p).dim
+            assert q_dim < sc.dim
+            for _ in range(2):
+                seeds = [tuple(rng.randrange(2) for _ in range(1 + (p > 0)))]
+                seeds.append(tuple(rng.randrange(2) for _ in range(len(seeds[0]))))
+                seeds += [tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+                          for _ in range(p)]
+                pair = build_lr(p, seeds, 2)
+                logL, logR = word_pair_logs(sc, pair, gens)
+                full = bch_product(sc, logL, -logR)
+                chk = verify_word_bracket_identity(sc, pair, gens)
+                assert chk.word_log.coords == full.coords[:q_dim]
+            if p >= 1:
+                searches.append((sc, gens, p, nice_pair_search(sc, gens, p, q_max=2, budget=60)))
+    assert any(res.found for *_, res in searches)
+    # the reference evaluates every candidate in the full algebra
+    monkeypatch.setattr(words, "quotient_algebra", lambda sc, p: sc)
+    for sc, gens, p, res in searches:
+        assert nice_pair_search(sc, gens, p, q_max=2, budget=60) == res
+
+
 # -- Diophantine scan ------------------------------------------------------------
 
 
@@ -170,6 +200,19 @@ def test_diophantine_validation():
         diophantine_estimate([], tau=1.0, q_max=5)
     with pytest.raises(ValueError):
         diophantine_estimate([0.5], tau=1.0, q_max=0)
+
+
+def test_diophantine_refuses_oversized_scan():
+    # example_5_6's level 2 has d = 8; at q_max = 100 one chunk would hold
+    # 201^7 rows, about 13 GB per array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"d=8, q_max=100 .* 13254776280841401 rows"):
+            diophantine_estimate([0.1 * (i + 1) for i in range(8)], tau=8.0, q_max=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- search ------------------------------------------------------------------------
