@@ -22,6 +22,7 @@ Budgets are enforced where a run could silently degrade: 1 must finish
 in under a minute, 3 and 7 in under ten, 6 in under five.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -63,6 +64,10 @@ LAMBDAS = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0), (3, 2, 0)]
 CHECKPOINTS = [4, 16, 64, 256]
 SAMPLES = 100_000
 DECAY_TIMES = [4, 8, 16, 32, 64, 128, 256]
+# SHA-256 of _canonical_bytes(_stochastic_run()), measured on Python 3.11.7
+# with numpy 2.4.6; it pins the stochastic output across refactors of the
+# simulation, not only across reruns of one build.
+PINNED_SHA256 = "c94aa7a927ac4f5cb02c86371674ad219a309151c0a963cb3ee8f27382d2af10"
 
 
 def _emit(capsys, n, name, ok, detail):
@@ -310,3 +315,7 @@ def test_09_determinism(capsys, golden):
     _emit(capsys, 9, "byte-identical reruns", ok,
           f"{len(first)} canonical bytes for criteria 5-7"
           + ("" if ok else ", reruns differ"))
+
+
+def test_09_canonical_bytes_pinned(golden):
+    assert hashlib.sha256(_canonical_bytes(golden)).hexdigest() == PINNED_SHA256
