@@ -6,7 +6,8 @@ these coordinates is a triangular sweep: peeling exp(-t_i X_i) off the
 left only disturbs strictly deeper coordinates, so each t_i can be read
 straight off.  The same sweep run over a polynomial ring yields, once
 and for all, the coordinate expression of any fixed group operation;
-those expressions are compiled to float term lists for vectorized walks.
+each expression is compiled to a table of its distinct monomials times
+a float coefficient matrix, so a batch step is one matrix product.
 
 Gamma denotes the integer-coordinate points.  It is a subgroup exactly
 when the structure constants cooperate; verify_lattice checks closure on
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bch import bch_coords
 from .lie_core import LieVector, StructureConstants
-from .pencil import MultiPoly, PolyRing
+from .pencil import MultiPoly, PolyRing, coefficient_rows
 
 __all__ = ["SecondKindSystem", "CompiledMap", "LatticeError"]
 
@@ -38,18 +39,28 @@ class LatticeError(Exception):
 
 
 class CompiledMap:
-    """Polynomial map R^n_in -> R^n_out flattened to float term lists."""
+    """Polynomial map R^n_in -> R^n_out as a monomial table times a matrix.
+
+    The distinct monomials of all outputs are listed once, in descending
+    graded-lexicographic order, and coef[j, k] is the float coefficient
+    of monomial j in output k.  A call evaluates each monomial once per
+    point and takes one matrix product.
+    """
 
     def __init__(self, n_in, polys):
         self.n_in = n_in
         self.n_out = len(polys)
-        terms = []
-        for p in polys:
-            tl = []
-            for mono, c in p.sorted_terms():
-                tl.append((float(c), tuple((i, e) for i, e in enumerate(mono) if e)))
-            terms.append(tuple(tl))
-        self.terms = tuple(terms)
+        monos, rows = coefficient_rows(polys)
+        self.monomials = tuple(tuple((i, e) for i, e in enumerate(m) if e) for m in monos)
+        self.coef = np.array(rows, dtype=float).reshape(self.n_out, len(monos)).T.copy()
+        # constants and bare variables are filled in one step each
+        self._ones = [j for j, m in enumerate(self.monomials) if not m]
+        self._linear = [j for j, m in enumerate(self.monomials) if len(m) == 1 and m[0][1] == 1]
+        self._linear_vars = [self.monomials[j][0][0] for j in self._linear]
+        simple = set(self._ones) | set(self._linear)
+        self._products = [
+            (j, m) for j, m in enumerate(self.monomials) if j not in simple
+        ]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -58,14 +69,16 @@ class CompiledMap:
             x = x[None, :]
         if x.shape[1] != self.n_in:
             raise ValueError(f"expected {self.n_in} inputs, got {x.shape[1]}")
-        out = np.zeros((x.shape[0], self.n_out))
-        for k, tl in enumerate(self.terms):
-            col = out[:, k]
-            for c, varexps in tl:
-                term = np.full(x.shape[0], c)
-                for i, e in varexps:
-                    term = term * (x[:, i] if e == 1 else x[:, i] ** e)
-                col += term
+        vals = np.empty((x.shape[0], len(self.monomials)))
+        vals[:, self._ones] = 1.0
+        vals[:, self._linear] = x[:, self._linear_vars]
+        for j, varexps in self._products:
+            term = None
+            for i, e in varexps:
+                f = x[:, i] if e == 1 else x[:, i] ** e
+                term = f if term is None else term * f
+            vals[:, j] = term
+        out = vals @ self.coef
         return out[0] if single else out
 
 
@@ -124,9 +137,6 @@ class SecondKindSystem:
         return tuple(self._peel(list(x.coords), Fraction(0)))
 
     # -- compiled group operations --------------------------------------------
-
-    def _sym_point(self, ring, names):
-        return [ring.var(n) for n in names]
 
     def translation_map(self, a: LieVector) -> CompiledMap:
         """t -> coordinates of exp(a) g(t), as a compiled polynomial map."""

@@ -163,18 +163,11 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
     # -- structure ----------------------------------------------------------
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order (canonical)."""
         return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
-
-    def degree_in(self, name):
-        i = self.ring.index[name]
-        return max((m[i] for m in self.terms), default=0)
 
     def substitute(self, values):
         """Partial substitution {name: rational}; stays in the same ring."""
@@ -224,21 +217,6 @@ class MultiPoly:
                     newm[mapping[i]] = e
             out[tuple(newm)] = out.get(tuple(newm), 0) + c
         return MultiPoly(target, out)
-
-    def coefficient_slice(self, fixed):
-        """Coefficient polynomial of a fixed exponent pattern.
-
-        fixed maps variable names to required exponents; the returned
-        polynomial collects exactly the terms matching those exponents,
-        with the fixed variables removed.
-        """
-        idx = {self.ring.index[n]: e for n, e in fixed.items()}
-        out = {}
-        for m, c in self.terms.items():
-            if all(m[i] == e for i, e in idx.items()):
-                newm = tuple(0 if i in idx else e for i, e in enumerate(m))
-                out[newm] = out.get(newm, 0) + c
-        return MultiPoly(self.ring, out)
 
     def __str__(self):
         if not self.terms:
@@ -410,6 +388,20 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     return _project_level(sc, acc, p, ring)
 
 
+def coefficient_rows(polys):
+    """The distinct monomials of polys in descending graded-lex order, and
+    for each polynomial its row of Fraction coefficients over them."""
+    monos = sorted({m for p in polys for m in p.terms}, key=_mono_key, reverse=True)
+    col = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(monos)
+        for m, c in p.terms.items():
+            row[col[m]] = c
+        rows.append(row)
+    return monos, rows
+
+
 def linearly_independent(polys):
     """Exact rank decision for a list of polynomials over one ring.
 
@@ -420,14 +412,7 @@ def linearly_independent(polys):
     polys = list(polys)
     if not polys:
         raise ValueError("empty polynomial list")
-    monos = sorted({m for p in polys for m in p.terms}, key=_mono_key, reverse=True)
-    col = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monos)
-        for m, c in p.terms.items():
-            row[col[m]] = c
-        rows.append(row)
+    monos, rows = coefficient_rows(polys)
     if not monos:
         # every polynomial is zero
         lam = [Fraction(0)] * len(polys)

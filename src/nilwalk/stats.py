@@ -22,13 +22,13 @@ import numpy as np
 from scipy import stats as spstats
 
 from .walk import (
-    CHUNK,
     Character,
     WalkConfig,
-    advance,
+    run_chunks,
+    sample_paths,
+    support_level,
     transfer_eigenvalue,
     validate_observable,
-    worker_count,
 )
 
 __all__ = [
@@ -67,34 +67,27 @@ class CLTReport:
     degenerate: bool
 
 
-def _clt_chunk(args):
-    config, char, N, size, state, weight = args
-    rng = np.random.default_rng(np.random.PCG64(state))
+def _clt_chunk(config, lam, w, N, size, rng):
+    """S_N of each path in the chunk, and the summed increment variances."""
     pfloat = np.asarray([float(p) for p in config.probs])
-    lam = np.asarray(char.lam, dtype=float)
-    c, _ = transfer_eigenvalue(config, char)
-    w = 1.0 / (1.0 - c)
-    t = np.zeros((size, config.dim))
+    prev = np.zeros((size, config.dim))
     path_sum = np.zeros(size)
     q_total = 0.0
-    tmaps = [config.system.translation_map(g) for g in config.generators]
-    for _ in range(N):
-        # conditional variance of the next martingale increment, using the
-        # supports of all proposed moves (chi is reduction invariant, so the
-        # proposals need no lattice reduction)
+    for t in sample_paths(config, size, rng, N):
+        # conditional variance of the increment that led to t, using the
+        # supports of all proposed moves from prev (chi is reduction
+        # invariant, so the proposals need no lattice reduction)
         b1 = np.zeros(size)
         b2 = np.zeros(size)
-        for j, tm in enumerate(tmaps):
-            z = np.exp(2j * np.pi * (tm(t) @ lam))
+        for j, tm in enumerate(config.translation_maps):
+            z = np.exp(2j * np.pi * (tm(prev) @ lam))
             b = np.real(w * z)
             b1 += pfloat[j] * b
             b2 += pfloat[j] * b * b
         q_total += float(np.sum(b2 - b1 * b1))
-        idx = rng.choice(len(pfloat), size=size, p=pfloat)
-        t = advance(config, t, idx)
         path_sum += np.real(np.exp(2j * np.pi * (t @ lam)))
-    s = path_sum / math.sqrt(N) if weight else path_sum
-    return s, q_total
+        prev = t
+    return path_sum / math.sqrt(N), q_total
 
 
 def clt_experiment(
@@ -105,7 +98,8 @@ def clt_experiment(
     The Kolmogorov-Smirnov statistic compares the empirically centered
     S_N sample with Normal(0, sigma_model); sigma_martingale averages
     the conditional increment variances over all paths and steps, which
-    converges to the same limit when the walk equidistributes.
+    converges to the same limit when the walk equidistributes.  As in
+    correlation_sweep, paths run on the quotient the character reads.
     """
     if trials < 100:
         raise ValueError("too few trials for a distributional test")
@@ -115,22 +109,9 @@ def clt_experiment(
         raise ResonanceError(f"character {char.lam} is resonant for these generators")
     sigma_model = closed_form_sigma(c)
 
-    sizes = []
-    left = trials
-    while left > 0:
-        take = min(CHUNK, left)
-        sizes.append(take)
-        left -= take
-    states = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [(config, char, N, sz, st, True) for sz, st in zip(sizes, states)]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_clt_chunk, jobs))
-    else:
-        results = [_clt_chunk(j) for j in jobs]
+    sim = config.quotient(support_level(config.sc, [char]))
+    lam = np.asarray(char.lam[: sim.dim], dtype=float)
+    results = run_chunks(_clt_chunk, sim, trials, seed, lam, 1.0 / (1.0 - c), N)
     samples = np.concatenate([s for s, _ in results])
     q_mean = sum(q for _, q in results) / (trials * N)
     sigma_mart = math.sqrt(max(0.0, q_mean))

@@ -11,7 +11,10 @@ the two properties the analysis actually uses, lattice invariance and
 generator equivariance, instead of trusting the support heuristic.
 
 Correlations are estimated over independent sample paths started at the
-identity, so the mean of A(x_N) should track c^N; gap_profile lists c
+identity, so the mean of A(x_N) should track c^N.  The paths run in
+seeded chunks (run_chunks, shared with the CLT) on the quotient
+g / g^(q+1) the characters read: q = 0, the abelianized torus, for
+every character that validates.  gap_profile lists c
 over a frequency box, flagging resonant frequencies with |c| = 1, and
 tame_decay_fit measures the sup-norm decay of the transfer operator on
 a Sobolev-weighted character sum.
@@ -22,14 +25,15 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import product as iproduct
 
 import numpy as np
 
 from .coords import SecondKindSystem
-from .lie_core import LieVector, StructureConstants
+from .lie_core import LieVector, StructureConstants, quotient_algebra
 
 __all__ = [
     "WalkConfig",
@@ -75,10 +79,26 @@ class WalkConfig:
     generators: tuple  # LieVector logs, exact
     probs: tuple  # Fractions, positive, summing to 1
     system: SecondKindSystem
+    _quotients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.sc.dim
+
+    @cached_property
+    def translation_maps(self):
+        """The compiled translation by each generator, looked up once."""
+        return tuple(self.system.translation_map(g) for g in self.generators)
+
+    def quotient(self, q: int) -> "WalkConfig":
+        """This walk on g / g^(q+1), built once per level; its coordinates
+        and compiled maps are the first dim(g / g^(q+1)) of the full ones."""
+        if q not in self._quotients:
+            qsc = quotient_algebra(self.sc, q)
+            gens = [LieVector(g.coords[: qsc.dim]) for g in self.generators]
+            full = qsc.dim == self.dim
+            self._quotients[q] = self if full else walk_config(qsc, gens, self.probs)
+        return self._quotients[q]
 
 
 def walk_config(sc: StructureConstants, generators, probs) -> WalkConfig:
@@ -206,8 +226,8 @@ def validate_observable(
     box = config.system.reduce_batch(t)
     base = char.values(box)
     eq_err = 0.0
-    for g in config.generators:
-        moved = char.values(config.system.translation_map(g)(box))
+    for tmap in config.translation_maps:
+        moved = char.values(tmap(box))
         ratio = moved / base
         eq_err = max(eq_err, float(np.max(np.abs(ratio - ratio[0]))))
         eq_err = max(eq_err, abs(float(np.max(np.abs(ratio))) - 1.0))
@@ -216,6 +236,13 @@ def validate_observable(
             f"character {char.lam} is not generator equivariant (err {eq_err:.2e})"
         )
     return inv_err, eq_err
+
+
+def support_level(sc: StructureConstants, characters) -> int:
+    """Deepest level of the central series that any frequency touches."""
+    level_of = sc.series.level_of
+    levels = (level_of(i) for ch in characters for i, v in enumerate(ch.lam) if v)
+    return max(levels, default=0)
 
 
 def abelianized_lambda_box(sc: StructureConstants, radius: int):
@@ -261,39 +288,47 @@ def gap_profile(config: WalkConfig, radius: int):
 
 
 def advance(config: WalkConfig, t, gen_idx):
-    """One walk step on a batch: translate by the drawn generator, reduce."""
-    out = np.empty_like(t)
-    for j, g in enumerate(config.generators):
-        mask = gen_idx == j
-        if mask.any():
-            out[mask] = config.system.translation_map(g)(t[mask])
-    return config.system.reduce_batch(out)
+    """One walk step on a batch: translate by the drawn generator, reduce.
+    Every generator moves the whole batch and each row keeps its draw."""
+    moved = np.stack([tmap(t) for tmap in config.translation_maps])
+    return config.system.reduce_batch(moved[gen_idx, np.arange(len(t))])
 
 
-def _chunk_sizes(samples):
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
-    return sizes
-
-
-def _correlation_chunk(args):
-    config, chars, checkpoints, size, state = args
-    rng = np.random.default_rng(np.random.PCG64(state))
+def sample_paths(config: WalkConfig, size, rng, steps):
+    """Yield the states x_1 .. x_steps of `size` paths started at the identity."""
     pfloat = np.asarray([float(p) for p in config.probs])
     t = np.zeros((size, config.dim))
-    lams = [np.asarray(ch.lam, dtype=float) for ch in chars]
-    out = {}  # (char index, N) -> (sum, sum of squared moduli)
-    last = max(checkpoints)
+    for _ in range(steps):
+        t = advance(config, t, rng.choice(len(pfloat), size=size, p=pfloat))
+        yield t
+
+
+def run_chunks(work, config: WalkConfig, samples, seed, *args):
+    """work(config, *args, size, rng) over chunks of CHUNK paths (the last
+    takes the rest), each with its own PCG64 stream spawned from seed, so
+    the results never depend on NILWALK_WORKERS; work is module-level."""
+    sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
+    states = np.random.SeedSequence(seed).spawn(len(sizes))
+    rngs = [np.random.default_rng(np.random.PCG64(state)) for state in states]
+    job = partial(work, config, *args)
+    workers = worker_count()
+    if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, sizes, rngs))
+    return list(map(job, sizes, rngs))
+
+
+def _correlation_chunk(config, lams, checkpoints, size, rng):
+    """Sum of each character over the chunk at each checkpoint."""
     want = set(checkpoints)
-    for n in range(1, last + 1):
-        idx = rng.choice(len(pfloat), size=size, p=pfloat)
-        t = advance(config, t, idx)
+    sums = {}  # (char index, N) -> sum of the character values
+    for n, t in enumerate(sample_paths(config, size, rng, max(checkpoints)), 1):
         if n in want:
             for ci, lam in enumerate(lams):
-                z = np.exp(2j * np.pi * (t @ lam))
-                out[(ci, n)] = (complex(z.sum()), size)
-    return out
+                sums[(ci, n)] = complex(np.exp(2j * np.pi * (t @ lam)).sum())
+    return sums
 
 
 @dataclass(frozen=True)
@@ -309,9 +344,10 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
 
     All paths start at the identity and are advanced jointly; chunked
     deterministically so the output depends only on the seed, never on
-    NILWALK_WORKERS.  stderr is the root mean square error of the
-    complex mean (characters are unit modulus, so the population second
-    moment is exactly 1).
+    NILWALK_WORKERS.  After validation on the full config the paths run
+    on the quotient the characters read, with the full walk's bits.
+    stderr is the root mean square error of the complex mean (characters
+    are unit modulus, so the population second moment is exactly 1).
     """
     chars = list(characters)
     for ch in chars:
@@ -319,38 +355,17 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive walk times")
-    sizes = _chunk_sizes(samples)
-    states = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [(config, chars, checkpoints, sz, st) for sz, st in zip(sizes, states)]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_correlation_chunk, jobs))
-    else:
-        results = [_correlation_chunk(j) for j in jobs]
+    sim = config.quotient(support_level(config.sc, chars))
+    lams = [np.asarray(ch.lam[: sim.dim], dtype=float) for ch in chars]
+    results = run_chunks(_correlation_chunk, sim, samples, seed, lams, checkpoints)
     sweep = {}
     for ci, ch in enumerate(chars):
         pts = []
         for n in checkpoints:
-            total = 0j
-            count = 0
-            for res in results:
-                s, m = res[(ci, n)]
-                total += s
-                count += int(m)
-            mean = total / count
+            mean = sum((sums[(ci, n)] for sums in results), 0j) / samples
             # var of the complex mean: E|z|^2 - |Ez|^2 = 1 - |mean|^2
             var = max(0.0, 1.0 - abs(mean) ** 2)
-            pts.append(
-                CorrelationPoint(
-                    N=n,
-                    estimate=mean,
-                    stderr=math.sqrt(var / count),
-                    samples=count,
-                )
-            )
+            pts.append(CorrelationPoint(n, mean, math.sqrt(var / samples), samples))
         sweep[ch] = pts
     return sweep
 

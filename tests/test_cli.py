@@ -72,6 +72,14 @@ def test_certify_exit_codes(capsys):
     assert code == 1 and json.loads(out)["verdict"] == "degenerate"
 
 
+def test_certify_stdout_is_byte_identical(capsys):
+    first = run(capsys, "certify", "heisenberg", "-m", "2")
+    second = run(capsys, "certify", "heisenberg", "-m", "2")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert "elapsed_seconds" not in first[1] and "elapsed_seconds" in first[2]
+
+
 def test_words_exit_codes(capsys):
     code, out, _ = run(
         capsys, "words", "heisenberg", "-p", "1",

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilwalk import catalog
+from nilwalk import catalog, walk
 from nilwalk.lie_core import LieVector
+from nilwalk.stats import clt_experiment
 from nilwalk.walk import (
     Character,
     ObservableError,
@@ -31,6 +32,22 @@ def circle_config(*jumps, probs=None):
     if probs is None:
         probs = [F(1, len(gens))] * len(gens)
     return walk_config(catalog.abelian(1), gens, probs)
+
+
+def triangular_config(s):
+    """Lazy walk on triangular(s) whose moving generator has level-0
+    coordinates (phi, sqrt 2 - 1, sqrt 3 - 1, sqrt 7 - 2)[:s] and no deeper part."""
+    sc = catalog.triangular(s)
+    head = [PHI, math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, math.sqrt(7.0) - 2.0][:s]
+    move = LieVector([F(x) for x in head] + [F(0)] * (sc.dim - s))
+    return walk_config(sc, [LieVector.zero(sc.dim), move], [F(1, 2), F(1, 2)])
+
+
+WALKS = {
+    "golden-heisenberg": golden_heisenberg_config,
+    "triangular(3)": lambda: triangular_config(3),
+    "triangular(4)": lambda: triangular_config(4),
+}
 
 
 # -- configuration -----------------------------------------------------------
@@ -85,12 +102,32 @@ def test_abelianized_box_count_and_order():
     assert norms == sorted(norms)
 
 
-def test_validation_accepts_abelianized_rejects_center():
+def test_validation_accepts_abelianized_rejects_center(monkeypatch):
     cfg = golden_heisenberg_config()
     inv, eq = validate_observable(cfg, Character((1, -2, 0)))
     assert inv < 1e-12 and eq < 1e-12
     with pytest.raises(ObservableError):
         validate_observable(cfg, Character((0, 0, 1)))
+
+    # a nonzero frequency on any level >= 1 fails validation on the full
+    # config, so no walk, full or quotient, is ever advanced for it
+    def no_step(*args):
+        raise AssertionError("advanced a walk for an invalid character")
+
+    monkeypatch.setattr(walk, "advance", no_step)
+    for make in WALKS.values():
+        cfg = make()
+        for i in range(cfg.sc.series.dims[0], cfg.dim):
+            for head in (0, 1):
+                lam = [0] * cfg.dim
+                lam[0], lam[i] = head, 1
+                ch = Character(lam)
+                with pytest.raises(ObservableError):
+                    validate_observable(cfg, ch)
+                with pytest.raises(ObservableError):
+                    correlation_sweep(cfg, [ch], [4], samples=64, seed=0)
+                with pytest.raises(ObservableError):
+                    clt_experiment(cfg, ch, N=4, trials=100, seed=0)
 
 
 def test_transfer_eigenvalue_lazy_walk():
@@ -125,6 +162,58 @@ def test_advance_applies_chosen_generator():
     out = advance(cfg, t, np.array([0, 1]))
     assert np.allclose(out[0], 0.0)  # identity generator
     assert abs(out[1][0] - PHI) < 1e-15
+
+
+def _termwise(cmap, x):
+    """A compiled map evaluated term by term, each output summed in the
+    map's monomial order: the float semantics of a per-term evaluator."""
+    out = np.zeros((len(x), cmap.n_out))
+    for k in range(cmap.n_out):
+        for varexps, c in zip(cmap.monomials, cmap.coef[:, k]):
+            if c:
+                term = np.full(len(x), c)
+                for i, e in varexps:
+                    term = term * (x[:, i] if e == 1 else x[:, i] ** e)
+                out[:, k] += term
+    return out
+
+
+def _masked_step(cfg, t, gen_idx):
+    """A full-config step by masked gather/scatter and termwise maps."""
+    out = np.empty_like(t)
+    for j, g in enumerate(cfg.generators):
+        mask = gen_idx == j
+        if mask.any():
+            out[mask] = _termwise(cfg.system.translation_map(g), t[mask])
+    for level in range(cfg.sc.step):
+        idx = cfg.sc.series.level_indices(level)
+        for _ in range(4):
+            m = -np.floor(out[:, idx])
+            if not m.any():
+                break
+            out = _termwise(cfg.system.reduction_map(level), np.concatenate([out, m], axis=1))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_quotient_walk_matches_full_walk_bitwise(name):
+    cfg = WALKS[name]()
+    sim = cfg.quotient(0)
+    n0 = cfg.sc.series.dims[0]
+    assert sim.dim == n0 and cfg.quotient(0) is sim  # built once per level
+    assert cfg.quotient(cfg.sc.step - 1) is cfg
+    rng = np.random.default_rng(2024)
+    size = 256
+    full = np.zeros((size, cfg.dim))
+    fast = np.zeros((size, cfg.dim))
+    quo = np.zeros((size, n0))
+    for _ in range(256):
+        idx = rng.choice(2, size=size, p=[0.5, 0.5])
+        full = _masked_step(cfg, full, idx)
+        fast = advance(cfg, fast, idx)
+        quo = advance(sim, quo, idx)
+    assert np.array_equal(full[:, :n0], quo)
+    assert np.array_equal(fast[:, :n0], quo)
 
 
 def test_correlation_tracks_eigenvalue_power():
