@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwalk import catalog
+from nilwalk.lie_core import algebra_to_json, direct_product
+from nilwalk.linalg import left_kernel_vector
 from nilwalk.pencil import (
     MultiPoly,
     PolyRing,
@@ -162,11 +166,31 @@ def test_certify_m4_restores_greatness():
     assert cert.verify(sc=catalog.example_5_6())
 
 
+def _uniform_kernel_case():
+    # level 3 is two-dimensional: example_5_6's coordinate vanishes for two
+    # generic vectors, filiform(5)'s does not, so (1, 0) annihilates it
+    sc = direct_product(catalog.example_5_6(), catalog.filiform(5))
+    return sc, certify_greatness(sc, 2, budget=50)
+
+
+def test_certify_uniform_kernel():
+    sc, cert = _uniform_kernel_case()
+    assert cert.verdict == "degenerate"
+    lvl = cert.level(3)
+    assert lvl.status == "degenerate"
+    assert lvl.proof == "uniform_kernel"
+    assert lvl.kernel == (F(1), F(0))
+    assert cert.verify(sc)
+
+
 def test_tampered_certificate_fails_verify():
     sc = catalog.heisenberg()
     cert = certify_greatness(sc, 2)
     lvl = cert.level(1)
     object.__setattr__(lvl, "witness", ((1, 0), (2, 0)))  # collinear rows
+    assert not cert.verify(sc)
+    sc, cert = _uniform_kernel_case()
+    object.__setattr__(cert.level(3), "kernel", (F(0), F(1)))
     assert not cert.verify(sc)
 
 
@@ -177,3 +201,39 @@ def test_certificate_json_shape():
     assert doc["m"] == 2 and doc["step"] == 2
     assert doc["levels"][0]["p"] == 1
     assert doc["levels"][0]["status"] == "witness"
+
+
+# -- pinned certify bytes ------------------------------------------------------------
+
+# SHA-256 of _certify_canon(), measured before the pencil builders and the
+# elimination loops were merged; it pins certificates, witness searches,
+# random-algebra bases (the nullspace path) and kernel vectors across
+# refactors of pencil and linalg.
+CERTIFY_SHA256 = "f066685877f51c26e9b96e56e45e6e225b512bd180d26ee5058ea0b909cef505"
+
+
+def _certify_canon():
+    certs = []
+    algebras = []
+    corpus = list(catalog.default_corpus())
+    for s in range(3):
+        sc = catalog.random_step3(3, 2, 2, s)
+        corpus.append((f"random_step3(3,2,2,{s})", sc))
+        algebras.append(algebra_to_json(sc))
+    for label, sc in corpus:
+        for m in (2, 3, 4):
+            cert = certify_greatness(sc, m)
+            certs.append([label, m, cert.to_json_dict(), cert.verify(sc)])
+    sc, cert = _uniform_kernel_case()
+    certs.append(["uniform_kernel", 2, cert.to_json_dict(), cert.verify(sc)])
+    matrices = [
+        [[0, 1], [0, 1], [1, 0]],
+        [[F(1), F(1, 2), F(0)], [F(0), F(1), F(3)], [F(2), F(0), F(-3)]],
+    ]
+    kernels = [[str(x) for x in left_kernel_vector(rows)] for rows in matrices]
+    doc = {"certificates": certs, "algebras": algebras, "kernels": kernels}
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def test_certify_bytes_pinned():
+    assert hashlib.sha256(_certify_canon()).hexdigest() == CERTIFY_SHA256
