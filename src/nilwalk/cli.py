@@ -140,18 +140,24 @@ def _preset_config(name):
     )
 
 
+def parse_generators(sc, tokens):
+    """LieVectors from --generator strings of sc.dim comma separated scalars."""
+    gens = []
+    for g in tokens:
+        coords = [parse_scalar(t) for t in g.split(",")]
+        if len(coords) != sc.dim:
+            raise ValueError(f"generator needs {sc.dim} coordinates: {g!r}")
+        gens.append(LieVector(coords))
+    return gens
+
+
 def resolve_config(args):
     if getattr(args, "preset", None):
         return _preset_config(args.preset)
     if not getattr(args, "algebra", None):
         raise ValueError("give either --preset or --algebra with --generator")
     sc = parse_algebra(args.algebra)
-    gens = []
-    for g in args.generator or []:
-        coords = [parse_scalar(t) for t in g.split(",")]
-        if len(coords) != sc.dim:
-            raise ValueError(f"generator needs {sc.dim} coordinates: {g!r}")
-        gens.append(LieVector(coords))
+    gens = parse_generators(sc, args.generator or [])
     if not gens:
         raise ValueError("at least one --generator is required")
     if args.probs:
@@ -300,12 +306,7 @@ def cmd_counterexample(args):
 def cmd_words(args):
     sc = parse_algebra(args.algebra)
     if args.generator:
-        gens = []
-        for g in args.generator:
-            coords = [parse_scalar(t) for t in g.split(",")]
-            if len(coords) != sc.dim:
-                raise ValueError(f"generator needs {sc.dim} coordinates")
-            gens.append(LieVector(coords))
+        gens = parse_generators(sc, args.generator)
     else:
         gens = [LieVector.basis(sc.dim, i) for i in range(args.m)]
     res = nice_pair_search(

@@ -3,7 +3,7 @@
 Everything here works on lists of lists of Fractions (or ints).  Matrices
 are tiny (a few hundred rows at most), so plain Gaussian elimination with
 exact rational arithmetic is both fast enough and free of pivoting
-subtleties.
+subtleties.  One forward elimination, _echelon, serves every routine.
 """
 
 from __future__ import annotations
@@ -11,8 +11,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _rows_copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows, track):
+    """Forward elimination on a Fraction copy of rows.
+
+    Returns (m, pivots, t): m is in row echelon form, its first
+    len(pivots) rows nonzero with leading entries in columns pivots and
+    every later row zero.  When track is true, t[i] holds the coefficients
+    of the input rows whose combination is m[i]; otherwise t is None.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    t = [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)] if track else None
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for pivot in range(r, nrows):
+            if m[pivot][c]:
+                break
+        else:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if track:
+            t[r], t[pivot] = t[pivot], t[r]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                if track:
+                    t[i] = [a - f * b for a, b in zip(t[i], t[r])]
+        pivots.append(c)
+    return m, pivots, t
 
 
 def rref(rows):
@@ -22,84 +52,28 @@ def rref(rows):
     pivots[i] is the column of the leading 1 in echelon[i].  The input is
     not modified.
     """
-    m = _rows_copy(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find a pivot in column c at row >= r
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
+    m, pivots, _ = _echelon(rows, False)
+    m = m[: len(pivots)]
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
+        for i in range(r):
+            if m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rank(rows):
-    return len(rref(rows)[0])
-
-
-def in_span(echelon, pivots, vec):
-    """Whether vec lies in the row span of an rref matrix (exact)."""
-    v = [Fraction(x) for x in vec]
-    for row, p in zip(echelon, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+    return m, pivots
 
 
 def left_kernel_vector(rows):
     """First nonzero vector lam with lam @ rows == 0, or None.
 
-    Elimination tracks the row operations in an identity block, so a row
-    that cancels to zero hands back the exact dependence certificate.
+    Elimination tracks the row operations in an identity block, so the
+    first row that cancels to zero (the one at index rank) hands back the
+    exact dependence certificate.
     """
-    m = _rows_copy(rows)
-    nrows = len(m)
-    if nrows == 0:
-        return None
-    ncols = len(m[0])
-    track = [[Fraction(int(i == j)) for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        track[r], track[pivot] = track[pivot], track[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                track[i] = [a - f * b for a, b in zip(track[i], track[r])]
-        r += 1
-        if r == nrows:
-            break
-    for i in range(nrows):
-        if not any(m[i]):
-            return track[i]
-    return None
+    m, pivots, t = _echelon(rows, True)
+    return t[len(pivots)] if len(pivots) < len(m) else None
 
 
 def nullspace(rows):

@@ -283,10 +283,30 @@ def generic_vectors(sc: StructureConstants, m: int, ring: PolyRing):
     return vecs
 
 
-def _project_level(sc, coords, p, ring):
+def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
+    """Level-p coordinates of [ ... [W_0, W_1], ..., W_p ], p = len(weights) - 1.
+
+    W_q = sum_i weights[q][i] V_i over the generic vectors of ring.  A
+    weight is a ring element (a symbolic k) or a rational (an integer k, or
+    a unit row picking one V_i); zero weights are skipped.
+    """
+    p = len(weights) - 1
+    if not (0 <= p < sc.step):
+        raise ValueError(f"level {p} out of range for step {sc.step}")
+    vecs = generic_vectors(sc, len(weights[0]), ring)
+    acc = None
+    for row in weights:
+        w = [ring.zero() for _ in range(sc.dim)]
+        for k, v in zip(row, vecs):
+            if k:
+                for j in range(sc.dims[0]):
+                    w[j] = w[j] + k * v[j]
+        acc = w if acc is None else sc.bracket_coords(acc, w)
     # bracket_coords leaves untouched entries as int 0; normalize
-    idx = sc.series.level_indices(p)
-    return [c if isinstance(c, MultiPoly) else ring.const(c) for c in (coords[i] for i in idx)]
+    return [
+        c if isinstance(c, MultiPoly) else ring.const(c)
+        for c in (acc[i] for i in sc.series.level_indices(p))
+    ]
 
 
 def generic_nested_bracket(sc: StructureConstants, indices):
@@ -298,16 +318,9 @@ def generic_nested_bracket(sc: StructureConstants, indices):
     indices = tuple(int(i) for i in indices)
     if len(indices) < 1:
         raise ValueError("need at least one index")
-    p = len(indices) - 1
-    if p >= sc.step:
-        raise ValueError(f"level {p} out of range for step {sc.step}")
     m = max(indices) + 1
-    ring = alpha_ring(m, sc.dims[0])
-    vecs = generic_vectors(sc, m, ring)
-    acc = vecs[indices[0]]
-    for t in indices[1:]:
-        acc = sc.bracket_coords(acc, vecs[t])
-    return _project_level(sc, acc, p, ring)
+    units = [[int(i == t) for i in range(m)] for t in indices]
+    return _nested_level(sc, alpha_ring(m, sc.dims[0]), units)
 
 
 @dataclass(frozen=True)
@@ -328,23 +341,10 @@ def build_pencil(sc: StructureConstants, m: int, p: int) -> Pencil:
     """The full symbolic pencil at level p."""
     if m < 1:
         raise ValueError("m must be positive")
-    if not (0 <= p < sc.step):
-        raise ValueError(f"level {p} out of range for step {sc.step}")
     n0 = sc.dims[0]
     ring = pencil_ring(m, n0, p)
-    vecs = generic_vectors(sc, m, ring)
-    rows = []
-    for q in range(p + 1):
-        w = [ring.zero() for _ in range(sc.dim)]
-        for i in range(m):
-            kvar = ring.var(f"k{q}_{i + 1}")
-            for j in range(n0):
-                w[j] = w[j] + kvar * vecs[i][j]
-        rows.append(w)
-    acc = rows[0]
-    for q in range(1, p + 1):
-        acc = sc.bracket_coords(acc, rows[q])
-    coords = tuple(_project_level(sc, acc, p, ring))
+    kvars = [[ring.var(f"k{q}_{i + 1}") for i in range(m)] for q in range(p + 1)]
+    coords = tuple(_nested_level(sc, ring, kvars))
     return Pencil(m=m, p=p, coords=coords, ring=ring, n0=n0)
 
 
@@ -371,21 +371,8 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     kbar = [tuple(row) for row in kbar]
     if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
         raise ValueError(f"k must be {p + 1} rows of length {m}")
-    ring = alpha_ring(m, sc.dims[0])
-    vecs = generic_vectors(sc, m, ring)
-    rows = []
-    for q in range(p + 1):
-        w = [ring.zero() for _ in range(sc.dim)]
-        for i in range(m):
-            kv = Fraction(kbar[q][i])
-            if kv:
-                for j in range(sc.dims[0]):
-                    w[j] = w[j] + kv * vecs[i][j]
-        rows.append(w)
-    acc = rows[0]
-    for q in range(1, p + 1):
-        acc = sc.bracket_coords(acc, rows[q])
-    return _project_level(sc, acc, p, ring)
+    weights = [[Fraction(v) for v in row] for row in kbar]
+    return _nested_level(sc, alpha_ring(m, sc.dims[0]), weights)
 
 
 def coefficient_rows(polys):
@@ -512,11 +499,11 @@ def _structured_candidates(m, p):
     use; when p+1 <= m the distinct unit rows e1..e_{p+1} recover every
     nested bracket of distinct basis slots.
     """
+    def unit(i):
+        return tuple(int(t == i) for t in range(m))
+
     out = []
     if m >= 2:
-        def unit(i):
-            return tuple(int(t == i) for t in range(m))
-
         tails = [()]
         for _ in range(p - 1):
             tails = [t + (x,) for t in tails for x in (1, 0)]
@@ -524,18 +511,10 @@ def _structured_candidates(m, p):
             rows = [unit(0), unit(1)] + [unit(t) for t in tail]
             out.append(tuple(rows[: p + 1]))
     if p + 1 <= m:
-        cand = tuple(tuple(int(t == q) for t in range(m)) for q in range(p + 1))
-        if cand not in out:
-            out.append(cand)
+        out.append(tuple(unit(q) for q in range(p + 1)))
     if m == 1:
         out.append(((1,),) * (p + 1))
-    seen = set()
-    uniq = []
-    for c in out:
-        if c not in seen:
-            seen.add(c)
-            uniq.append(c)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def certify_greatness(
@@ -543,7 +522,6 @@ def certify_greatness(
     m: int,
     budget: int = 200,
     seed: int = 0,
-    keep_polys: bool = False,
 ) -> GreatnessCertificate:
     """Search for witnesses at every level 1..step-1, else prove degeneracy.
 
@@ -561,7 +539,6 @@ def certify_greatness(
     for p in range(1, sc.step):
         found = None
         tried = 0
-        polys_repr = ()
         candidates = _structured_candidates(m, p)
         while tried < budget:
             if candidates:
@@ -571,19 +548,12 @@ def certify_greatness(
                     tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1)
                 )
             tried += 1
-            polys = pencil_at_k(sc, m, p, kbar)
-            ok, _ = linearly_independent(polys)
+            ok, _ = linearly_independent(pencil_at_k(sc, m, p, kbar))
             if ok:
                 found = kbar
-                if keep_polys:
-                    polys_repr = tuple(str(q) for q in polys)
                 break
         if found is not None:
-            levels.append(
-                LevelCertificate(
-                    p=p, status="witness", witness=found, tried=tried, polys=polys_repr
-                )
-            )
+            levels.append(LevelCertificate(p=p, status="witness", witness=found, tried=tried))
             continue
         pen = build_pencil(sc, m, p)
         if pen.is_identically_zero():
@@ -606,7 +576,6 @@ def certify_greatness(
                     kernel=tuple(kernel),
                     proof="uniform_kernel",
                     tried=tried,
-                    polys=tuple(str(c) for c in pen.coords) if keep_polys else (),
                 )
             )
         else:

@@ -55,6 +55,11 @@ __all__ = [
 
 CHUNK = 8192  # fixed sample chunking so results never depend on worker count
 
+# validate_observable checks this many seeded random points to this tolerance
+VALIDATION_SAMPLES = 64
+VALIDATION_TOL = 1e-9
+VALIDATION_SEED = 2
+
 
 def worker_count():
     """Process count from NILWALK_WORKERS (default 1); anything but an
@@ -202,9 +207,7 @@ def transfer_eigenvalue(config: WalkConfig, char: Character):
     return c, resonant
 
 
-def validate_observable(
-    config: WalkConfig, char: Character, samples: int = 64, tol: float = 1e-9, seed: int = 2
-):
+def validate_observable(config: WalkConfig, char: Character):
     """Reject characters that do not descend to walk observables.
 
     Checks, on random points: invariance under reduction (A must factor
@@ -214,24 +217,22 @@ def validate_observable(
     coordinate passes neither, because translation mixes the center with
     a bilinear term.
     """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(-3.0, 3.0, size=(samples, config.dim))
-    a = char.values(t)
-    red = char.values(config.system.reduce_batch(t))
-    inv_err = float(np.max(np.abs(a - red)))
-    if inv_err > tol:
+    rng = np.random.default_rng(VALIDATION_SEED)
+    t = rng.uniform(-3.0, 3.0, size=(VALIDATION_SAMPLES, config.dim))
+    box = config.system.reduce_batch(t)
+    base = char.values(box)
+    inv_err = float(np.max(np.abs(char.values(t) - base)))
+    if inv_err > VALIDATION_TOL:
         raise ObservableError(
             f"character {char.lam} is not lattice invariant (err {inv_err:.2e})"
         )
-    box = config.system.reduce_batch(t)
-    base = char.values(box)
     eq_err = 0.0
     for tmap in config.translation_maps:
         moved = char.values(tmap(box))
         ratio = moved / base
         eq_err = max(eq_err, float(np.max(np.abs(ratio - ratio[0]))))
         eq_err = max(eq_err, abs(float(np.max(np.abs(ratio))) - 1.0))
-    if eq_err > tol:
+    if eq_err > VALIDATION_TOL:
         raise ObservableError(
             f"character {char.lam} is not generator equivariant (err {eq_err:.2e})"
         )

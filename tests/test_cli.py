@@ -95,6 +95,8 @@ def test_words_exit_codes(capsys):
     # level 2 has d = 8: the default q_max = 100 scan is refused, not run
     code, _, err = run(capsys, "words", "example_5_6", "-p", "2")
     assert code == 2 and "d=8, q_max=100" in err
+    code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--generator", "1,0")
+    assert code == 2 and "needs 3 coordinates: '1,0'" in err
 
 
 def test_gap_min_gap_gate(capsys):

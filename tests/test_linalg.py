@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk.linalg import in_span, left_kernel_vector, nullspace, rank, rref
+from nilwalk.linalg import left_kernel_vector, nullspace, rref
 
 F = Fraction
 
@@ -18,10 +18,10 @@ def test_rref_identity_block():
 
 def test_rank_and_span():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert rank(rows) == 2
-    ech, piv = rref(rows)
-    assert in_span(ech, piv, [F(3), F(7), F(10)])  # row1 + row3
-    assert not in_span(ech, piv, [F(0), F(0), F(1)])
+    assert len(rref(rows)[0]) == 2
+    # a vector lies in the row span iff appending it keeps the rank
+    assert len(rref(rows + [[F(3), F(7), F(10)]])[0]) == 2  # row1 + row3
+    assert len(rref(rows + [[F(0), F(0), F(1)]])[0]) == 3
 
 
 def test_left_kernel_certificate():
@@ -37,7 +37,9 @@ def test_left_kernel_certificate():
         sum(l * r[j] for l, r in zip(lam, rows)) for j in range(3)
     ]
     assert all(v == 0 for v in combo)
-    assert any(lam)
+    assert lam == [F(-2), F(1), F(1)]
+    # the certificate is the tracked row at index rank, after the swaps
+    assert left_kernel_vector([[0, 1], [0, 1], [1, 0]]) == [F(1), F(-1), F(0)]
 
 
 def test_left_kernel_none_for_independent_rows():
@@ -70,7 +72,7 @@ def test_kernel_vector_is_always_exact(rows):
     rows = [[F(x) for x in r] for r in rows]
     lam = left_kernel_vector(rows)
     if lam is None:
-        assert rank(rows) == len(rows)
+        assert len(rref(rows)[0]) == len(rows)
     else:
         assert any(lam)
         for j in range(3):
@@ -87,7 +89,13 @@ def test_kernel_vector_is_always_exact(rows):
 )
 def test_rank_plus_nullity(rows):
     rows = [[F(x) for x in r] for r in rows]
-    assert rank(rows) + len(nullspace(rows)) == 4
+    ech, piv = rref(rows)
+    assert len(ech) + len(nullspace(rows)) == 4
+    # reduced: increasing pivots, each a leading 1 alone in its column
+    assert piv == sorted(set(piv))
+    for i, row in enumerate(ech):
+        assert not any(row[: piv[i]])
+        assert [r[piv[i]] for r in ech] == [F(int(j == i)) for j in range(len(ech))]
 
 
 def test_empty_input():

@@ -1,0 +1,41 @@
+"""The benchmark's layer tracer must still find every layer it wraps.
+
+bench/tracing.py rebinds nilwalk functions by name; renaming or deleting a
+traced layer breaks `bench/run.py --trace 1`, so entering the tracer here
+makes that a test failure.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import nilwalk
+from nilwalk import catalog, linalg, pencil
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("nilwalk_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _layers():
+    return (linalg.rref, linalg.left_kernel_vector, pencil.pencil_at_k, pencil.MultiPoly.__mul__)
+
+
+def test_tracer_wraps_and_restores_every_layer():
+    tracing = _tracing_module()
+    originals = _layers()
+    sc = catalog.heisenberg()
+    with tracing.Tracer(nilwalk) as tracer:
+        assert all(a is not b for a, b in zip(_layers(), originals))
+        cert = pencil.certify_greatness(sc, 2)
+        assert cert.verify(sc)
+    assert _layers() == originals
+    metrics = tracer.metrics(overhead_ratio=1.0)
+    assert [name for name, _ in tracing.metric_units()] == list(metrics)
+    assert metrics["pencil.certify_greatness.calls"] == 1
+    assert metrics["pencil.pencil_at_k.calls"] >= 1
+    assert metrics["linalg.left_kernel_vector.calls"] >= 1
