@@ -1,7 +1,7 @@
 """Exact certification of nilpotent Lie algebra pencils and random walks
 on the associated nilmanifolds."""
 
-from .bch import GroupElement, Word, bch_product, bch_word_coefficients, word_eval
+from .bch import Word, bch_product, bch_word_coefficients, word_eval
 from .catalog import CATALOG, build, default_corpus
 from .coords import LatticeError, SecondKindSystem
 from .lie_core import (

@@ -36,7 +36,6 @@ from .lie_core import LieVector, StructureConstants, integer_numerators
 __all__ = [
     "bch_word_coefficients",
     "bch_product",
-    "GroupElement",
     "Word",
     "word_eval",
 ]
@@ -174,28 +173,6 @@ def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Group element of the simply connected group, stored by its log."""
-
-    log: LieVector
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(LieVector.zero(dim))
-
-    @classmethod
-    def exp(cls, vec: LieVector):
-        return cls(vec)
-
-    def inverse(self):
-        # (exp x)^(-1) = exp(-x)
-        return GroupElement(-self.log)
-
-    def mul(self, sc: StructureConstants, other: "GroupElement") -> "GroupElement":
-        return GroupElement(bch_product(sc, self.log, other.log))
-
-
-@dataclass(frozen=True)
 class Word:
     """Finite sequence of generator indices (0-based)."""
 
@@ -218,21 +195,16 @@ class Word:
             c[l] += 1
         return tuple(c)
 
-    def probability(self, probs):
-        p = Fraction(1)
-        for l in self.letters:
-            p *= probs[l]
-        return p
-
     def __add__(self, other):
         return Word(self.letters + other.letters)
 
 
-def word_eval(sc: StructureConstants, word: Word, generators) -> GroupElement:
-    """Left-to-right product of the generators named by the word."""
+def word_eval(sc: StructureConstants, word: Word, generators) -> LieVector:
+    """Log of the left-to-right product of the generator logs named by
+    the word; a group element is its log throughout."""
     acc = LieVector.zero(sc.dim)
     for l in word.letters:
         if l >= len(generators):
             raise ValueError(f"letter {l} out of range")
-        acc = bch_product(sc, acc, generators[l].log)
-    return GroupElement(acc)
+        acc = bch_product(sc, acc, generators[l])
+    return acc

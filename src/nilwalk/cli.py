@@ -85,11 +85,11 @@ def algebra_digest(sc) -> str:
 
 
 def provenance(args, sc=None):
-    doc = {
-        "version": __version__,
-        "command": args.cmd,
-        "seed": getattr(args, "seed", None),
-    }
+    """Version, command and every parsed argument except the output paths.
+    NILWALK_WORKERS is left out: it changes wall time, never the output."""
+    skip = ("func", "cmd", "json", "csv")
+    doc = {k: v for k, v in vars(args).items() if k not in skip}
+    doc.update(version=__version__, command=args.cmd)
     if sc is not None:
         doc["algebra_sha256"] = algebra_digest(sc)
     return doc

@@ -26,9 +26,8 @@ from .walk import (
     WalkConfig,
     run_chunks,
     sample_paths,
-    support_level,
+    simulated_walk,
     transfer_eigenvalue,
-    validate_observable,
 )
 
 __all__ = [
@@ -67,26 +66,23 @@ class CLTReport:
     degenerate: bool
 
 
-def _clt_chunk(config, lam, w, N, size, rng):
+def _clt_chunk(config, char, w, N, size, rng):
     """S_N of each path in the chunk, and the summed increment variances."""
     pfloat = np.asarray([float(p) for p in config.probs])
-    prev = np.zeros((size, config.dim))
     path_sum = np.zeros(size)
     q_total = 0.0
-    for t in sample_paths(config, size, rng, N):
-        # conditional variance of the increment that led to t, using the
-        # supports of all proposed moves from prev (chi is reduction
-        # invariant, so the proposals need no lattice reduction)
+    for moved, t in sample_paths(config, size, rng, N):
+        # conditional variance of the increment that led to t, over the
+        # step's proposed moves (chi is reduction invariant, so the
+        # proposals need no lattice reduction)
         b1 = np.zeros(size)
         b2 = np.zeros(size)
-        for j, tm in enumerate(config.translation_maps):
-            z = np.exp(2j * np.pi * (tm(prev) @ lam))
-            b = np.real(w * z)
-            b1 += pfloat[j] * b
-            b2 += pfloat[j] * b * b
+        for p, move in zip(pfloat, moved):
+            b = np.real(w * char.values(move))
+            b1 += p * b
+            b2 += p * b * b
         q_total += float(np.sum(b2 - b1 * b1))
-        path_sum += np.real(np.exp(2j * np.pi * (t @ lam)))
-        prev = t
+        path_sum += np.real(char.values(t))
     return path_sum / math.sqrt(N), q_total
 
 
@@ -103,15 +99,13 @@ def clt_experiment(
     """
     if trials < 100:
         raise ValueError("too few trials for a distributional test")
-    validate_observable(config, char)
+    sim, (sim_char,) = simulated_walk(config, [char])
     c, resonant = transfer_eigenvalue(config, char)
     if resonant:
         raise ResonanceError(f"character {char.lam} is resonant for these generators")
     sigma_model = closed_form_sigma(c)
 
-    sim = config.quotient(support_level(config.sc, [char]))
-    lam = np.asarray(char.lam[: sim.dim], dtype=float)
-    results = run_chunks(_clt_chunk, sim, trials, seed, lam, 1.0 / (1.0 - c), N)
+    results = run_chunks(_clt_chunk, sim, trials, seed, sim_char, 1.0 / (1.0 - c), N)
     samples = np.concatenate([s for s, _ in results])
     q_mean = sum(q for _, q in results) / (trials * N)
     sigma_mart = math.sqrt(max(0.0, q_mean))

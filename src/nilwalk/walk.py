@@ -165,10 +165,6 @@ class Character:
     def norm(self):
         return math.sqrt(sum(v * v for v in self.lam))
 
-    def is_abelianized(self, sc: StructureConstants):
-        n0 = sc.series.dims[0]
-        return not any(self.lam[n0:])
-
     def phase_of(self, system: SecondKindSystem, g: LieVector) -> Fraction:
         """Exact phase lam . sk(g) mod 1."""
         t = system.sk_from_log(g)
@@ -289,19 +285,21 @@ def gap_profile(config: WalkConfig, radius: int):
 
 
 def advance(config: WalkConfig, t, gen_idx):
-    """One walk step on a batch: translate by the drawn generator, reduce.
-    Every generator moves the whole batch and each row keeps its draw."""
+    """One walk step on a batch: every generator moves the whole batch,
+    each row keeps its draw and is reduced.  Returns (moves, next state),
+    moves[j] being the unreduced translation of t by generator j."""
     moved = np.stack([tmap(t) for tmap in config.translation_maps])
-    return config.system.reduce_batch(moved[gen_idx, np.arange(len(t))])
+    return moved, config.system.reduce_batch(moved[gen_idx, np.arange(len(t))])
 
 
 def sample_paths(config: WalkConfig, size, rng, steps):
-    """Yield the states x_1 .. x_steps of `size` paths started at the identity."""
+    """Yield (moves, x_n) for n = 1 .. steps over `size` paths started at
+    the identity, where moves are every generator's proposal from x_(n-1)."""
     pfloat = np.asarray([float(p) for p in config.probs])
     t = np.zeros((size, config.dim))
     for _ in range(steps):
-        t = advance(config, t, rng.choice(len(pfloat), size=size, p=pfloat))
-        yield t
+        moved, t = advance(config, t, rng.choice(len(pfloat), size=size, p=pfloat))
+        yield moved, t
 
 
 def run_chunks(work, config: WalkConfig, samples, seed, *args):
@@ -321,14 +319,23 @@ def run_chunks(work, config: WalkConfig, samples, seed, *args):
     return list(map(job, sizes, rngs))
 
 
-def _correlation_chunk(config, lams, checkpoints, size, rng):
+def simulated_walk(config: WalkConfig, characters):
+    """Validate every character on the full config, then return the
+    quotient walk they read and the characters truncated to it."""
+    for ch in characters:
+        validate_observable(config, ch)
+    sim = config.quotient(support_level(config.sc, characters))
+    return sim, [Character(ch.lam[: sim.dim]) for ch in characters]
+
+
+def _correlation_chunk(config, chars, checkpoints, size, rng):
     """Sum of each character over the chunk at each checkpoint."""
     want = set(checkpoints)
     sums = {}  # (char index, N) -> sum of the character values
-    for n, t in enumerate(sample_paths(config, size, rng, max(checkpoints)), 1):
+    for n, (_, t) in enumerate(sample_paths(config, size, rng, max(checkpoints)), 1):
         if n in want:
-            for ci, lam in enumerate(lams):
-                sums[(ci, n)] = complex(np.exp(2j * np.pi * (t @ lam)).sum())
+            for ci, ch in enumerate(chars):
+                sums[(ci, n)] = complex(ch.values(t).sum())
     return sums
 
 
@@ -351,14 +358,11 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
     are unit modulus, so the population second moment is exactly 1).
     """
     chars = list(characters)
-    for ch in chars:
-        validate_observable(config, ch)
+    sim, sim_chars = simulated_walk(config, chars)
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive walk times")
-    sim = config.quotient(support_level(config.sc, chars))
-    lams = [np.asarray(ch.lam[: sim.dim], dtype=float) for ch in chars]
-    results = run_chunks(_correlation_chunk, sim, samples, seed, lams, checkpoints)
+    results = run_chunks(_correlation_chunk, sim, samples, seed, sim_chars, checkpoints)
     sweep = {}
     for ci, ch in enumerate(chars):
         pts = []

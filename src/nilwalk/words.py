@@ -128,10 +128,10 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
 
     Combining sub-word logs with a handful of group products per level is
     an order of magnitude cheaper than folding over the full words; the
-    test suite cross-checks it against word_eval on small cases.
+    test suite cross-checks it against word_eval on small cases.  The
+    generators are LieVector logs.
     """
-    gens = list(generators)
-    seed_logs = [word_eval(sc, w, _as_group(gens, sc)).log for w in pair.seeds]
+    seed_logs = [word_eval(sc, w, generators) for w in pair.seeds]
     logL, logR = seed_logs[0], seed_logs[1]
     for q in range(1, pair.level + 1):
         logw = seed_logs[q + 1]
@@ -139,18 +139,6 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
         newR = bch_product(sc, bch_product(sc, logR, logw), logL)
         logL, logR = newL, newR
     return logL, logR
-
-
-def _as_group(generators, sc):
-    from .bch import GroupElement
-
-    out = []
-    for g in generators:
-        if isinstance(g, GroupElement):
-            out.append(g)
-        else:
-            out.append(GroupElement(g if isinstance(g, LieVector) else LieVector(g)))
-    return out
 
 
 def _in_quotient(sc: StructureConstants, p: int, generators):

@@ -80,6 +80,27 @@ def test_certify_stdout_is_byte_identical(capsys):
     assert "elapsed_seconds" not in first[1] and "elapsed_seconds" in first[2]
 
 
+def test_provenance_records_every_parameter(capsys, monkeypatch, tmp_path):
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "certify", "heisenberg", "-m", "2", "--budget", "30", "--verify",
+        "--json", str(out_file),
+    )
+    prov = json.loads(out_file.read_text())["provenance"]
+    assert code == 0
+    assert prov["command"] == "certify" and prov["algebra"] == "heisenberg"
+    assert prov["m"] == 2 and prov["budget"] == 30 and prov["verify"] is True
+    assert prov["seed"] == 0 and len(prov["algebra_sha256"]) == 64
+    assert not {"func", "cmd", "json", "csv"} & set(prov)
+    # the worker count is not a parameter of the output
+    args = ("clt", "--preset", "circle-quarters", "--character", "1",
+            "-N", "8", "--trials", "100", "--seed", "3")
+    _, one, _ = run(capsys, *args)
+    monkeypatch.setenv("NILWALK_WORKERS", "2")
+    _, two, _ = run(capsys, *args)
+    assert one == two and json.loads(one)["provenance"]["trials"] == 100
+
+
 def test_words_exit_codes(capsys):
     code, out, _ = run(
         capsys, "words", "heisenberg", "-p", "1",

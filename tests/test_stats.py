@@ -1,4 +1,5 @@
 import math
+from concurrent import futures
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from nilwalk.stats import (
     lemma_a1_check,
 )
 from nilwalk.walk import (
+    CHUNK,
     Character,
     golden_heisenberg_config,
     transfer_eigenvalue,
@@ -83,11 +85,25 @@ def test_clt_rejects_resonance_and_small_samples():
         clt_experiment(quarters_config(), Character((1,)), N=16, trials=50, seed=1)
 
 
-def test_clt_deterministic():
+def test_clt_deterministic(monkeypatch):
     cfg = quarters_config()
     a = clt_experiment(cfg, Character((1,)), N=64, trials=300, seed=9)
     b = clt_experiment(cfg, Character((1,)), N=64, trials=300, seed=9)
     assert a == b
+    # two chunks, so two workers run them through the process pool
+    trials = CHUNK + 100
+    one = clt_experiment(cfg, Character((1,)), N=8, trials=trials, seed=9)
+    pools = []
+
+    class Pool(futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("NILWALK_WORKERS", "2")
+    pooled = clt_experiment(cfg, Character((1,)), N=8, trials=trials, seed=9)
+    assert pools == [2] and pooled == one
 
 
 def test_lemma_quadratic_cosine_bound():

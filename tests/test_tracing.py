@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import nilwalk
-from nilwalk import catalog, linalg, pencil
+from nilwalk import catalog, linalg, pencil, stats, walk
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -39,3 +39,17 @@ def test_tracer_wraps_and_restores_every_layer():
     assert metrics["pencil.certify_greatness.calls"] == 1
     assert metrics["pencil.pencil_at_k.calls"] >= 1
     assert metrics["linalg.left_kernel_vector.calls"] >= 1
+
+
+def test_tracer_counts_walk_sample_steps():
+    """walk.advance.sample_steps reads the batch from advance's second
+    argument: every path of every chunk, once per step."""
+    tracing = _tracing_module()
+    cfg = walk.golden_heisenberg_config()
+    ch = walk.Character((1, 0, 0))
+    with tracing.Tracer(nilwalk) as tracer:
+        walk.correlation_sweep(cfg, [ch], [3, 5], samples=200, seed=1)
+        stats.clt_experiment(cfg, ch, N=4, trials=150, seed=1)
+    metrics = tracer.metrics(overhead_ratio=1.0)
+    assert metrics["walk.advance.calls"] == 5 + 4
+    assert metrics["walk.advance.sample_steps"] == 200 * 5 + 150 * 4

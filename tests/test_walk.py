@@ -88,8 +88,6 @@ def test_golden_config_is_exact():
 def test_character_basics():
     ch = Character((2, -1, 0))
     assert ch.norm == math.sqrt(5.0)
-    assert ch.is_abelianized(catalog.heisenberg())
-    assert not Character((0, 0, 1)).is_abelianized(catalog.heisenberg())
     with pytest.raises(ValueError):
         Character((0, 0, 0))
 
@@ -159,9 +157,13 @@ def test_gap_profile_golden_box():
 def test_advance_applies_chosen_generator():
     cfg = golden_heisenberg_config()
     t = np.zeros((2, 3))
-    out = advance(cfg, t, np.array([0, 1]))
+    moved, out = advance(cfg, t, np.array([0, 1]))
     assert np.allclose(out[0], 0.0)  # identity generator
     assert abs(out[1][0] - PHI) < 1e-15
+    # the moves are every generator's unreduced translation of the batch
+    assert moved.shape == (2, 2, 3)
+    for j, tmap in enumerate(cfg.translation_maps):
+        assert np.array_equal(moved[j], tmap(t))
 
 
 def _termwise(cmap, x):
@@ -210,8 +212,8 @@ def test_quotient_walk_matches_full_walk_bitwise(name):
     for _ in range(256):
         idx = rng.choice(2, size=size, p=[0.5, 0.5])
         full = _masked_step(cfg, full, idx)
-        fast = advance(cfg, fast, idx)
-        quo = advance(sim, quo, idx)
+        _, fast = advance(cfg, fast, idx)
+        _, quo = advance(sim, quo, idx)
     assert np.array_equal(full[:, :n0], quo)
     assert np.array_equal(fast[:, :n0], quo)
 
