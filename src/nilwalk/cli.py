@@ -370,17 +370,16 @@ def cmd_correlate(args):
     sweep = correlation_sweep(config, [char], times, args.samples, args.seed)
     points = sweep[char]
     c, _ = transfer_eigenvalue(config, char)
-    lines = [
-        "# nilwalk v%s correlate character=%s seed=%d samples=%d algebra=sha256:%s"
-        % (
-            __version__,
-            ",".join(str(v) for v in char.lam),
-            args.seed,
-            args.samples,
-            algebra_digest(config.sc),
-        ),
-        "N,estimate_re,estimate_im,stderr,samples",
+    # the header is the provenance as key=value tokens, values in compact JSON
+    prov = provenance(args, config.sc)
+    digest = prov.pop("algebra_sha256")
+    fields = [
+        f"{k}={json.dumps(v, separators=(',', ':'))}"
+        for k, v in sorted(prov.items())
+        if v is not None and k not in ("version", "command")
     ]
+    header = f"# nilwalk v{__version__} correlate {' '.join(fields)} algebra=sha256:{digest}"
+    lines = [header, "N,estimate_re,estimate_im,stderr,samples"]
     worst = 0.0
     for pt in points:
         lines.append(

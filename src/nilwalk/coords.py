@@ -5,14 +5,15 @@ over the adapted basis, in basis order.  Conversion between log and
 these coordinates is a triangular sweep: peeling exp(-t_i X_i) off the
 left only disturbs strictly deeper coordinates, so each t_i can be read
 straight off.  The same sweep run over a polynomial ring yields, once
-and for all, the coordinate expression of any fixed group operation;
-each expression is compiled to a table of its distinct monomials times
-a float coefficient matrix, so a batch step is one matrix product.
+per algebra, the group law P(t, s) = sk(g(t) g(s)) and I(t) = sk(g(t)^-1).
+A translation (t fixed) or level reduction (s zero off the level) is P
+restricted, compiled to a table of its distinct monomials times a float
+coefficient matrix, so a batch step is one matrix product.
 
 Gamma denotes the integer-coordinate points.  It is a subgroup exactly
-when the structure constants cooperate; verify_lattice checks closure on
-products and inverses of sample integer tuples and raises LatticeError
-otherwise, since every reduction below silently assumes it.
+when P and I are integer-valued on integer tuples; verify_lattice decides
+this exactly and raises LatticeError with an integer witness otherwise,
+since every reduction below assumes it.
 
 Reduction into the unit box runs level by level from the top.  Right
 multiplication by prod_{i in level l} exp(m_i X_i) shifts the level-l
@@ -24,18 +25,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .bch import bch_coords
 from .lie_core import LieVector, StructureConstants
-from .pencil import MultiPoly, PolyRing, coefficient_rows
+from .pencil import PolyRing, coefficient_rows
 
 __all__ = ["SecondKindSystem", "CompiledMap", "LatticeError"]
 
 
 class LatticeError(Exception):
-    """Integer tuples fail to form a subgroup under these coordinates."""
+    """Integer tuples fail to form a subgroup under these coordinates.
+
+    verify_lattice names its witness: output `coordinate` is not an integer
+    at `points`, which is (t, s) for g(t) g(s) or (t,) for g(t)^-1."""
+
+    def __init__(self, message, coordinate=None, points=None):
+        super().__init__(message)
+        self.coordinate, self.points = coordinate, points
 
 
 class CompiledMap:
@@ -82,8 +92,32 @@ class CompiledMap:
         return out[0] if single else out
 
 
-def _is_integral(fr):
-    return Fraction(fr).denominator == 1
+def non_integral_point(poly):
+    """(k, poly(k)) for an integer point k where poly is not an integer, or None.
+
+    x^e = sum_j S(e, j) j! C(x, j), S the Stirling numbers of the second
+    kind, gives poly's coefficients c_k in the basis prod_i C(x_i, k_i);
+    poly maps Z^n into Z iff every c_k is an integer (Polya).  Take k of
+    lowest degree with c_k not an integer: every c_j with j < k is, so
+    poly(k) = c_k + sum_{j < k} c_j C(k, j) is not, and k is the witness.
+    """
+    deg = max((e for m in poly.terms for e in m), default=0)
+    falling = [[1]]  # falling[e][j] = S(e, j) j!
+    for e in range(1, deg + 1):
+        prev = falling[-1] + [0]
+        falling.append([0] + [j * (prev[j] + prev[j - 1]) for j in range(1, e + 1)])
+    coef = {}
+    for mono, c in poly.terms.items():
+        for k in product(*(range(1, e + 1) if e else (0,) for e in mono)):
+            w = c
+            for e, j in zip(mono, k):
+                w *= falling[e][j]
+            coef[k] = coef.get(k, 0) + w
+    bad = [k for k, c in coef.items() if c.denominator != 1]
+    if not bad:
+        return None
+    k = min(bad, key=lambda k: (sum(k), k))
+    return k, poly.evaluate(dict(zip(poly.ring.names, k)))
 
 
 class SecondKindSystem:
@@ -93,11 +127,8 @@ class SecondKindSystem:
         self.sc = sc
         self.series = sc.series
         self.dim = sc.dim
-        self._ring = PolyRing([f"t{i}" for i in range(self.dim)])
-        self._tvars = [self._ring.var(f"t{i}") for i in range(self.dim)]
         self._tmap_cache = {}
         self._rmap_cache = {}
-        self._lattice_ok = None
 
     # -- exact conversions ---------------------------------------------------
 
@@ -136,23 +167,35 @@ class SecondKindSystem:
     def sk_from_log(self, x: LieVector):
         return tuple(self._peel(list(x.coords), Fraction(0)))
 
-    # -- compiled group operations --------------------------------------------
+    # -- the group law and the maps compiled from it --------------------------
+
+    @cached_property
+    def _law(self):
+        """(P, I): P(t, s) = sk(g(t) g(s)) and I(t) = sk(g(t)^-1),
+        polynomials over the variables t0..t{n-1}, s0..s{n-1}."""
+        n = self.dim
+        ring = PolyRing([f"t{i}" for i in range(n)] + [f"s{i}" for i in range(n)])
+        zero = ring.zero()
+        x = self._fold_log([ring.var(f"t{i}") for i in range(n)], zero)
+        y = self._fold_log([ring.var(f"s{i}") for i in range(n)], zero)
+        prod = self._peel(bch_coords(self.sc, x, y), zero)
+        return prod, self._peel([-v for v in x], zero)
+
+    def _restricted_law(self, values, keep):
+        """P with the variables in `values` fixed, as a map of `keep`."""
+        prod, _ = self._law
+        target = PolyRing(keep)
+        return CompiledMap(len(keep), [p.substitute(values).project(target) for p in prod])
 
     def translation_map(self, a: LieVector) -> CompiledMap:
         """t -> coordinates of exp(a) g(t), as a compiled polynomial map."""
         key = tuple(a.coords)
         hit = self._tmap_cache.get(key)
-        if hit is not None:
-            return hit
-        ring = self._ring
-        zero = ring.zero()
-        x = self._fold_log(self._tvars, zero)
-        ac = [ring.const(c) for c in a.coords]
-        y = bch_coords(self.sc, ac, x)
-        y = [v if isinstance(v, MultiPoly) else ring.const(v) for v in y]
-        cmap = CompiledMap(self.dim, self._peel(y, zero))
-        self._tmap_cache[key] = cmap
-        return cmap
+        if hit is None:
+            fixed = {f"t{i}": v for i, v in enumerate(self.sk_from_log(a))}
+            hit = self._restricted_law(fixed, [f"s{i}" for i in range(self.dim)])
+            self._tmap_cache[key] = hit
+        return hit
 
     def reduction_map(self, level: int) -> CompiledMap:
         """(t, m) -> coordinates of g(t) prod_{i in level} exp(m_i X_i).
@@ -162,67 +205,30 @@ class SecondKindSystem:
         even in floating point.
         """
         hit = self._rmap_cache.get(level)
-        if hit is not None:
-            return hit
-        idx = self.series.level_indices(level)
-        names = [f"t{i}" for i in range(self.dim)] + [f"m{j}" for j in range(len(idx))]
-        ring = PolyRing(names)
-        zero = ring.zero()
-        tvars = [ring.var(f"t{i}") for i in range(self.dim)]
-        x = self._fold_log(tvars, zero)
-        shift = [zero] * self.dim
-        for j, i in enumerate(idx):
-            shift[i] = ring.var(f"m{j}")
-        phi = self._fold_log(shift, zero)
-        y = bch_coords(self.sc, x, phi)
-        y = [v if isinstance(v, MultiPoly) else ring.const(v) for v in y]
-        cmap = CompiledMap(self.dim + len(idx), self._peel(y, zero))
-        self._rmap_cache[level] = cmap
-        return cmap
+        if hit is None:
+            idx = self.series.level_indices(level)
+            off = {f"s{i}": 0 for i in range(self.dim) if i not in idx}
+            keep = [f"t{i}" for i in range(self.dim)] + [f"s{i}" for i in idx]
+            hit = self._restricted_law(off, keep)
+            self._rmap_cache[level] = hit
+        return hit
 
     # -- lattice ---------------------------------------------------------------
 
-    def verify_lattice(self, extra_trials: int = 8, seed: int = 0):
-        """Check Gamma-closure on unit tuples and random small integer tuples.
-
-        Inverses, pairwise products of unit tuples, and extra random
-        pairs must all come back integral.  Raises LatticeError with the
-        first offending combination; result is cached per system.
-        """
-        if self._lattice_ok:
-            return
-        import random
-
-        rng = random.Random(seed)
-        units = []
-        for i in range(self.dim):
-            t = [Fraction(0)] * self.dim
-            t[i] = Fraction(1)
-            units.append(tuple(t))
-        extras = [
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(self.dim))
-            for _ in range(extra_trials)
-        ]
-        logs = [self.log_from_sk(t) for t in units + extras]
-        for t, lg in zip(units + extras, logs):
-            inv = self.sk_from_log(-lg)
-            if not all(_is_integral(v) for v in inv):
-                raise LatticeError(f"inverse of {t} is not integral: {inv}")
-        pairs = [(a, b) for a in range(len(units)) for b in range(len(units))]
-        pairs += [
-            (rng.randrange(len(logs)), rng.randrange(len(logs)))
-            for _ in range(2 * extra_trials)
-        ]
-        alltuples = units + extras
-        for a, b in pairs:
-            prod = bch_coords(self.sc, logs[a].coords, logs[b].coords)
-            t = self._peel(list(prod), Fraction(0))
-            if not all(_is_integral(v) for v in t):
-                raise LatticeError(
-                    f"product of {alltuples[a]} and {alltuples[b]} "
-                    f"is not integral: {tuple(t)}"
-                )
-        self._lattice_ok = True
+    def verify_lattice(self):
+        """Prove that Gamma is a subgroup, or raise LatticeError naming the
+        first coordinate of I, then of P, that is not integer-valued and an
+        integer point where it is not an integer."""
+        prod, inv = self._law
+        n = self.dim
+        for where, nargs, polys in (("inverse of {}", 1, inv), ("product of {} and {}", 2, prod)):
+            for i, poly in enumerate(polys):
+                bad = non_integral_point(poly)
+                if bad is not None:
+                    k, value = bad
+                    points = (k[:n], k[n:])[:nargs]
+                    msg = f"{where.format(*points)} is not integral: coordinate {i} is {value}"
+                    raise LatticeError(msg, i, points)
 
     # -- reduction ---------------------------------------------------------------
 
@@ -249,7 +255,7 @@ class SecondKindSystem:
         if not all(0 <= v < 1 for v in red):
             raise AssertionError(f"reduction left the unit box: {red}")
         gamma = self.sk_from_log(glog)
-        if not all(_is_integral(v) for v in gamma):
+        if any(v.denominator != 1 for v in gamma):
             raise LatticeError(f"reduction used a non-integral translate: {gamma}")
         return red, tuple(int(v) for v in gamma)
 

@@ -137,13 +137,11 @@ class JacobiReport:
 class CentralSeries:
     """Lower central series of an adapted algebra.
 
-    levels[j] is an exact spanning basis (rref rows) of g^(j); dims[p] is
-    the dimension of the quotient g^(p)/g^(p+1); starts[p] is the index of
-    the first basis vector belonging to level p.  step is the smallest s
-    with g^(s) = 0.
+    g^(j) is spanned by the basis vectors from index starts[j] on; dims[p]
+    is the dimension of the quotient g^(p)/g^(p+1).  step is the smallest
+    s with g^(s) = 0.
     """
 
-    levels: tuple
     dims: tuple
     starts: tuple
     step: int
@@ -362,8 +360,7 @@ def lower_central_series(sc: StructureConstants) -> CentralSeries:
     for p in range(step):
         end = starts[p + 1] if p + 1 < step else n
         dims.append(end - starts[p])
-    levels = tuple(tuple(LieVector(row) for row in span) for span in spans)
-    return CentralSeries(levels, tuple(dims), tuple(starts), step)
+    return CentralSeries(tuple(dims), tuple(starts), step)
 
 
 def project(sc: StructureConstants, x: LieVector, p: int):
@@ -401,11 +398,7 @@ def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
         quotient = StructureConstants(keep, brackets, names=sc.names[:keep])
         # the series of g / g^(p+1) is the image of g's first p+1 levels,
         # so it is read off rather than recomputed
-        levels = tuple(
-            tuple(LieVector(v.coords[:keep]) for v in level if any(v.coords[:keep]))
-            for level in ser.levels[: p + 1]
-        )
-        quotient._series = CentralSeries(levels, ser.dims[: p + 1], ser.starts[: p + 1], p + 1)
+        quotient._series = CentralSeries(ser.dims[: p + 1], ser.starts[: p + 1], p + 1)
         sc._quotients[p] = quotient
     return quotient
 
@@ -483,7 +476,7 @@ def algebra_to_json(sc: StructureConstants) -> dict:
     }
 
 
-def algebra_from_json(data: dict, verify: bool = True) -> StructureConstants:
+def algebra_from_json(data: dict) -> StructureConstants:
     dim = data["dim"]
     brackets = {}
     for ent in data.get("brackets", []):
@@ -493,19 +486,18 @@ def algebra_from_json(data: dict, verify: bool = True) -> StructureConstants:
             raise ValueError(f"duplicate bracket entry for ({i + 1}, {j + 1})")
         brackets[(i, j)] = out
     sc = StructureConstants(dim, brackets, names=data.get("names"))
-    if verify:
-        ser = sc.series  # raises if not nilpotent / adapted
-        claimed = data.get("levels")
-        if claimed is not None:
-            actual = [[i + 1 for i in ser.level_indices(p)] for p in range(ser.step)]
-            try:
-                claimed = [list(lv) for lv in claimed]
-            except TypeError:
-                raise ValueError(f"malformed level lists: {claimed!r}") from None
-            if claimed != actual:
-                raise NotAdaptedError(
-                    f"declared levels {claimed} do not match computed levels {actual}"
-                )
+    ser = sc.series  # raises if not nilpotent / adapted
+    claimed = data.get("levels")
+    if claimed is not None:
+        actual = [[i + 1 for i in ser.level_indices(p)] for p in range(ser.step)]
+        try:
+            claimed = [list(lv) for lv in claimed]
+        except TypeError:
+            raise ValueError(f"malformed level lists: {claimed!r}") from None
+        if claimed != actual:
+            raise NotAdaptedError(
+                f"declared levels {claimed} do not match computed levels {actual}"
+            )
     return sc
 
 
@@ -515,6 +507,6 @@ def save_algebra(sc: StructureConstants, path):
         fh.write("\n")
 
 
-def load_algebra(path, verify: bool = True) -> StructureConstants:
+def load_algebra(path) -> StructureConstants:
     with open(path) as fh:
-        return algebra_from_json(json.load(fh), verify=verify)
+        return algebra_from_json(json.load(fh))

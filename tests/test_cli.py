@@ -148,6 +148,20 @@ def test_correlate_csv_contract(capsys, tmp_path):
     assert all(len(r) == 5 and int(r[4]) == 4000 for r in rows)
 
 
+def test_correlate_header_records_the_walk(capsys):
+    # circle-golden and circle-quarters share abelian(1) and its digest
+    headers = {}
+    for preset in ("circle-golden", "circle-quarters"):
+        _, out, _ = run(
+            capsys, "correlate", "--preset", preset, "--character", "1",
+            "--times", "2", "--samples", "50", "--seed", "5",
+        )
+        headers[preset] = out.splitlines()[0]
+    golden, quarters = headers["circle-golden"], headers["circle-quarters"]
+    assert golden != quarters
+    assert 'preset="circle-golden"' in golden and 'times="2"' in golden
+
+
 def test_bad_worker_count_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NILWALK_WORKERS", "abc")
     code, out, err = run(

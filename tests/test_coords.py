@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nilwalk import catalog
 from nilwalk.bch import bch_product
-from nilwalk.coords import CompiledMap, LatticeError, SecondKindSystem
+from nilwalk.coords import CompiledMap, LatticeError, SecondKindSystem, non_integral_point
 from nilwalk.lie_core import LieVector, rescale_levels
 from nilwalk.pencil import PolyRing
 
@@ -59,17 +59,52 @@ def test_compiled_map_evaluates_polynomials():
         cmap(np.zeros((1, 3)))
 
 
+def _law_inputs():
+    return [
+        catalog.example_3_2(),
+        catalog.heisenberg(),
+        catalog.triangular(3),
+        catalog.triangular(4),
+        rescale_levels(catalog.example_3_2(), [1, 1, 2]),
+        rescale_levels(catalog.filiform(5), [1, 1, 2, 6]),
+    ]
+
+
+def _rational_point(rng, dim):
+    return [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)]
+
+
 def test_translation_map_matches_exact_product():
-    sc = catalog.example_3_2()
-    sys = SecondKindSystem(sc)
-    a = LieVector([F(1, 2), F(-1, 3), F(1), F(0), F(2)])
-    cmap = sys.translation_map(a)
     rng = random.Random(5)
-    for _ in range(4):
-        t = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(5)]
-        want = sys.sk_from_log(bch_product(sc, a, sys.log_from_sk(t)))
-        got = cmap(np.array([float(v) for v in t]))
-        assert np.allclose(got, [float(v) for v in want], atol=1e-12)
+    for sc in _law_inputs():
+        sys = SecondKindSystem(sc)
+        a = LieVector(_rational_point(rng, sc.dim))
+        cmap = sys.translation_map(a)
+        for _ in range(4):
+            t = _rational_point(rng, sc.dim)
+            want = sys.sk_from_log(bch_product(sc, a, sys.log_from_sk(t)))
+            got = cmap(np.array([float(v) for v in t]))
+            assert np.allclose(got, [float(v) for v in want], atol=1e-12)
+
+
+def test_reduction_map_matches_exact_product():
+    rng = random.Random(6)
+    for sc in _law_inputs():
+        sys = SecondKindSystem(sc)
+        for level in range(sc.step):
+            idx = sys.series.level_indices(level)
+            rmap = sys.reduction_map(level)
+            for _ in range(2):
+                t = _rational_point(rng, sc.dim)
+                m = _rational_point(rng, len(idx))
+                s = [F(0)] * sc.dim
+                for j, i in enumerate(idx):
+                    s[i] = m[j]
+                want = sys.sk_from_log(
+                    bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(s))
+                )
+                got = rmap(np.array([float(v) for v in t + m]))
+                assert np.allclose(got, [float(v) for v in want], atol=1e-12)
 
 
 def _output_terms(cmap, k):
@@ -108,13 +143,42 @@ def test_reduction_map_block_structure():
 # -- lattice ---------------------------------------------------------------------
 
 
+LATTICES = {"abelian(3)", "heisenberg", "triangular(2)", "triangular(3)", "triangular(4)"}
+
+
 def test_lattice_closure_verdicts():
-    SecondKindSystem(catalog.heisenberg()).verify_lattice()
-    SecondKindSystem(catalog.abelian(3)).verify_lattice()
-    with pytest.raises(LatticeError):
-        SecondKindSystem(catalog.example_3_2()).verify_lattice()
-    with pytest.raises(LatticeError):
-        SecondKindSystem(catalog.filiform(5)).verify_lattice()
+    for name, sc in catalog.default_corpus():
+        sys = SecondKindSystem(sc)
+        if name in LATTICES:
+            sys.verify_lattice()
+        else:
+            with pytest.raises(LatticeError):
+                sys.verify_lattice()
+
+
+def test_lattice_error_witness_is_not_integral():
+    # each witness, recomputed through the exact BCH product, really fails
+    for name, sc in catalog.default_corpus():
+        if name in LATTICES:
+            continue
+        sys = SecondKindSystem(sc)
+        with pytest.raises(LatticeError) as info:
+            sys.verify_lattice()
+        err = info.value
+        logs = [sys.log_from_sk(p) for p in err.points]
+        if len(logs) == 1:
+            out = sys.sk_from_log(-logs[0])
+        else:
+            out = sys.sk_from_log(bch_product(sc, *logs))
+        assert out[err.coordinate].denominator != 1, name
+        assert str(err.points[0]) in str(err)
+
+
+def test_binomial_basis_decides_integer_values():
+    ring = PolyRing(["t"])
+    t = ring.var("t")
+    assert non_integral_point(t * (t - 1) * F(1, 2)) is None
+    assert non_integral_point(t * t * F(1, 2)) == ((1,), F(1, 2))
 
 
 def test_factorial_dilation_closes_lattice():
