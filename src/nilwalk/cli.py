@@ -469,7 +469,13 @@ def build_parser():
     sp = sub.add_parser("certify", help="prove or refute m-greatness")
     sp.add_argument("algebra")
     sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=200, help="witness tries per level")
+    sp.add_argument(
+        "--budget",
+        type=int,
+        default=200,
+        help="witness tries per level; a level whose structured tries all give"
+        " the zero pencil is decided symbolically before the budget runs out",
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verify", action="store_true", help="recheck the certificate")
     sp.add_argument("--json")

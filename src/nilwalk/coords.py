@@ -5,15 +5,15 @@ over the adapted basis, in basis order.  Conversion between log and
 these coordinates is a triangular sweep: peeling exp(-t_i X_i) off the
 left only disturbs strictly deeper coordinates, so each t_i can be read
 straight off.  The same sweep run over a polynomial ring yields, once
-per algebra, the group law P(t, s) = sk(g(t) g(s)) and I(t) = sk(g(t)^-1).
+per algebra, the group law P(t, s) = sk(g(t) g(s)).
 A translation (t fixed) or level reduction (s zero off the level) is P
 restricted, compiled to a table of its distinct monomials times a float
 coefficient matrix, so a batch step is one matrix product.
 
 Gamma denotes the integer-coordinate points.  It is a subgroup exactly
-when P and I are integer-valued on integer tuples; verify_lattice decides
-this exactly and raises LatticeError with an integer witness otherwise,
-since every reduction below assumes it.
+when P is integer-valued on integer tuples; verify_lattice decides this
+exactly and raises LatticeError with an integer witness otherwise, since
+every reduction below assumes it.
 
 Reduction into the unit box runs level by level from the top.  Right
 multiplication by prod_{i in level l} exp(m_i X_i) shifts the level-l
@@ -40,8 +40,8 @@ __all__ = ["SecondKindSystem", "CompiledMap", "LatticeError"]
 class LatticeError(Exception):
     """Integer tuples fail to form a subgroup under these coordinates.
 
-    verify_lattice names its witness: output `coordinate` is not an integer
-    at `points`, which is (t, s) for g(t) g(s) or (t,) for g(t)^-1."""
+    verify_lattice names its witness: output `coordinate` of g(t) g(s) is
+    not an integer at `points` = (t, s)."""
 
     def __init__(self, message, coordinate=None, points=None):
         super().__init__(message)
@@ -171,21 +171,19 @@ class SecondKindSystem:
 
     @cached_property
     def _law(self):
-        """(P, I): P(t, s) = sk(g(t) g(s)) and I(t) = sk(g(t)^-1),
-        polynomials over the variables t0..t{n-1}, s0..s{n-1}."""
+        """P(t, s) = sk(g(t) g(s)), polynomials over the variables
+        t0..t{n-1}, s0..s{n-1}."""
         n = self.dim
         ring = PolyRing([f"t{i}" for i in range(n)] + [f"s{i}" for i in range(n)])
         zero = ring.zero()
         x = self._fold_log([ring.var(f"t{i}") for i in range(n)], zero)
         y = self._fold_log([ring.var(f"s{i}") for i in range(n)], zero)
-        prod = self._peel(bch_coords(self.sc, x, y), zero)
-        return prod, self._peel([-v for v in x], zero)
+        return self._peel(bch_coords(self.sc, x, y), zero)
 
     def _restricted_law(self, values, keep):
         """P with the variables in `values` fixed, as a map of `keep`."""
-        prod, _ = self._law
         target = PolyRing(keep)
-        return CompiledMap(len(keep), [p.substitute(values).project(target) for p in prod])
+        return CompiledMap(len(keep), [p.substitute(values).project(target) for p in self._law])
 
     def translation_map(self, a: LieVector) -> CompiledMap:
         """t -> coordinates of exp(a) g(t), as a compiled polynomial map."""
@@ -217,18 +215,22 @@ class SecondKindSystem:
 
     def verify_lattice(self):
         """Prove that Gamma is a subgroup, or raise LatticeError naming the
-        first coordinate of I, then of P, that is not integer-valued and an
-        integer point where it is not an integer."""
-        prod, inv = self._law
+        first coordinate of P that is not integer-valued and an integer
+        pair (t, s) where it is not an integer.
+
+        Closure under products suffices: inverses follow.  For integer t,
+        g(t)^-1 = exp(-t_{n-1} X_{n-1}) ... exp(-t_0 X_0) is the product of
+        the integer points g(-t_i e_i) in reverse order, so if P maps
+        integer pairs to integer points, so does t -> sk(g(t)^-1).
+        """
         n = self.dim
-        for where, nargs, polys in (("inverse of {}", 1, inv), ("product of {} and {}", 2, prod)):
-            for i, poly in enumerate(polys):
-                bad = non_integral_point(poly)
-                if bad is not None:
-                    k, value = bad
-                    points = (k[:n], k[n:])[:nargs]
-                    msg = f"{where.format(*points)} is not integral: coordinate {i} is {value}"
-                    raise LatticeError(msg, i, points)
+        for i, poly in enumerate(self._law):
+            bad = non_integral_point(poly)
+            if bad is not None:
+                k, value = bad
+                t, s = k[:n], k[n:]
+                msg = f"product of {t} and {s} is not integral: coordinate {i} is {value}"
+                raise LatticeError(msg, i, (t, s))
 
     # -- reduction ---------------------------------------------------------------
 

@@ -517,6 +517,28 @@ def _structured_candidates(m, p):
     return list(dict.fromkeys(out))
 
 
+def _symbolic_proof(pen: Pencil, tried: int):
+    """The degenerate LevelCertificate that pen proves, or None.
+
+    Either every coordinate is the zero polynomial, or one rational kernel
+    annihilates the whole symbolic pencil, hence every integer evaluation.
+    """
+    if pen.is_identically_zero():
+        return LevelCertificate(
+            p=pen.p,
+            status="degenerate",
+            proof="identically_zero",
+            tried=tried,
+            polys=tuple(str(c) for c in pen.coords),
+        )
+    ok, kernel = linearly_independent(list(pen.coords))
+    if ok:
+        return None
+    return LevelCertificate(
+        p=pen.p, status="degenerate", kernel=tuple(kernel), proof="uniform_kernel", tried=tried
+    )
+
+
 def certify_greatness(
     sc: StructureConstants,
     m: int,
@@ -531,53 +553,47 @@ def certify_greatness(
     the zero polynomial, or a single rational kernel annihilates the
     whole symbolic pencil (hence every integer evaluation).  Otherwise
     the level is reported undetermined.
+
+    A level settles before its budget runs out when every structured
+    candidate gives the all-zero pencil: a nonzero pencil of degree D
+    vanishes at a random point of S^n with probability at most D/|S|
+    (Schwartz-Zippel), so the symbolic pencil is built then, once, and
+    decides the level if it is zero or has a uniform kernel.  If it does
+    not, the random search goes on and the built pencil is not rebuilt.
     """
     if m < 1:
         raise ValueError("m must be positive")
     rng = random.Random(seed)
     levels = []
     for p in range(1, sc.step):
-        found = None
+        found = pen = settled = None
+        all_zero = True
         tried = 0
         candidates = _structured_candidates(m, p)
         while tried < budget:
             if candidates:
                 kbar = candidates.pop(0)
             else:
+                if all_zero and pen is None:
+                    pen = build_pencil(sc, m, p)
+                    settled = _symbolic_proof(pen, tried)
+                    if settled is not None:
+                        break
                 kbar = tuple(
                     tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1)
                 )
             tried += 1
-            ok, _ = linearly_independent(pencil_at_k(sc, m, p, kbar))
+            polys = pencil_at_k(sc, m, p, kbar)
+            all_zero = all_zero and all(c.is_zero() for c in polys)
+            ok, _ = linearly_independent(polys)
             if ok:
                 found = kbar
                 break
         if found is not None:
             levels.append(LevelCertificate(p=p, status="witness", witness=found, tried=tried))
             continue
-        pen = build_pencil(sc, m, p)
-        if pen.is_identically_zero():
-            levels.append(
-                LevelCertificate(
-                    p=p,
-                    status="degenerate",
-                    proof="identically_zero",
-                    tried=tried,
-                    polys=tuple(str(c) for c in pen.coords),
-                )
-            )
-            continue
-        ok, kernel = linearly_independent(list(pen.coords))
-        if not ok:
-            levels.append(
-                LevelCertificate(
-                    p=p,
-                    status="degenerate",
-                    kernel=tuple(kernel),
-                    proof="uniform_kernel",
-                    tried=tried,
-                )
-            )
-        else:
-            levels.append(LevelCertificate(p=p, status="undetermined", tried=tried))
+        if pen is None:
+            # a pencil built in the loop has been decided already
+            settled = _symbolic_proof(build_pencil(sc, m, p), tried)
+        levels.append(settled or LevelCertificate(p=p, status="undetermined", tried=tried))
     return GreatnessCertificate(m=m, step=sc.step, levels=tuple(levels))

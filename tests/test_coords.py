@@ -165,11 +165,8 @@ def test_lattice_error_witness_is_not_integral():
         with pytest.raises(LatticeError) as info:
             sys.verify_lattice()
         err = info.value
-        logs = [sys.log_from_sk(p) for p in err.points]
-        if len(logs) == 1:
-            out = sys.sk_from_log(-logs[0])
-        else:
-            out = sys.sk_from_log(bch_product(sc, *logs))
+        t, s = err.points
+        out = sys.sk_from_log(bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(s)))
         assert out[err.coordinate].denominator != 1, name
         assert str(err.points[0]) in str(err)
 

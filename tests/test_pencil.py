@@ -12,6 +12,7 @@ from nilwalk.linalg import left_kernel_vector
 from nilwalk.pencil import (
     MultiPoly,
     PolyRing,
+    _structured_candidates,
     alpha_ring,
     build_pencil,
     certify_greatness,
@@ -180,7 +181,41 @@ def test_certify_uniform_kernel():
     assert lvl.status == "degenerate"
     assert lvl.proof == "uniform_kernel"
     assert lvl.kernel == (F(1), F(0))
+    # its tries are dependent but not all-zero, so the whole budget is spent
+    assert lvl.tried == 50
     assert cert.verify(sc)
+
+
+# -- settling all-zero levels early ---------------------------------------------------
+
+
+def test_all_zero_level_settles_once_structured_candidates_are_spent():
+    sc = catalog.example_5_6()
+    cert = certify_greatness(sc, 2)
+    lvl = cert.level(3)
+    assert lvl.proof == "identically_zero"
+    assert lvl.tried == len(_structured_candidates(2, 3)) == 4
+    assert cert == certify_greatness(sc, 2, budget=40)
+
+
+def test_one_generator_levels_are_identically_zero_after_one_try():
+    for sc in (catalog.heisenberg(), catalog.filiform(5)):
+        cert = certify_greatness(sc, 1)
+        assert [(lv.proof, lv.tried) for lv in cert.levels] == [
+            ("identically_zero", 1)
+        ] * (sc.step - 1)
+        assert cert.verify(sc)
+
+
+def test_full_rank_symbolic_pencil_resumes_random_search():
+    # every structured try at m=3, level 3 is all-zero but the symbolic
+    # pencil is not degenerate, so the fifth try (the first random one,
+    # from the same stream as without the symbolic check) is the witness
+    sc = catalog.example_5_6()
+    cert = certify_greatness(sc, 3)
+    lvl = cert.level(3)
+    assert lvl.status == "witness" and lvl.tried == 5
+    assert lvl.witness == ((3, 0, 3), (0, -3, -1), (1, 0, 0), (3, 3, -1))
 
 
 def test_tampered_certificate_fails_verify():
@@ -205,11 +240,10 @@ def test_certificate_json_shape():
 
 # -- pinned certify bytes ------------------------------------------------------------
 
-# SHA-256 of _certify_canon(), measured before the pencil builders and the
-# elimination loops were merged; it pins certificates, witness searches,
+# SHA-256 of _certify_canon(); it pins certificates, witness searches,
 # random-algebra bases (the nullspace path) and kernel vectors across
 # refactors of pencil and linalg.
-CERTIFY_SHA256 = "f066685877f51c26e9b96e56e45e6e225b512bd180d26ee5058ea0b909cef505"
+CERTIFY_SHA256 = "64aa9ad0de9d7c507ff47417546f5c7e2fb50c273618e921d66995190c43312f"
 
 
 def _certify_canon():
