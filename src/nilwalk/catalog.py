@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .lie_core import StructureConstants, check_jacobi
+from .lie_core import LieAlgebraError, StructureConstants, check_jacobi
 
 __all__ = [
     "abelian",
@@ -279,11 +279,12 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
             + [f"Y{y + 1}" for y in range(n1)]
             + [f"Z{z + 1}" for z in range(n2)]
         )
+        sc = StructureConstants(dim, brackets, names=names)
         try:
-            sc = StructureConstants(dim, brackets, names=names)
-            if sc.dims != (n0, n1, n2):
-                continue
-        except Exception:
+            dims = sc.dims
+        except LieAlgebraError:  # not nilpotent or not adapted: a bad draw
+            continue
+        if dims != (n0, n1, n2):
             continue
         rep = check_jacobi(sc)
         if not rep.ok:

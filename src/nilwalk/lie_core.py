@@ -4,11 +4,12 @@ A StructureConstants object stores the bracket table of a finite
 dimensional Lie algebra over Q in a fixed basis.  All arithmetic in this
 module is exact (fractions.Fraction, and integer numerators over a common
 denominator in the exact bracket); nothing here touches floating point.
-The basis is required to be adapted to the lower central series: writing
-g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be spanned by a
-trailing block of basis vectors.  Adaptedness is *verified*, never
-repaired: supplying a basis that does not have this shape raises
-NotAdaptedError.
+The Jacobi check and the lower central series run their brackets on that
+integer table.  The basis is required to be adapted to the lower central
+series: writing g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be
+spanned by a trailing block of basis vectors.  Adaptedness is *verified*,
+never repaired: it is read off the pivots of each g^(j)'s rref, and a
+basis that does not have this shape raises NotAdaptedError.
 """
 
 from __future__ import annotations
@@ -284,24 +285,24 @@ class StructureConstants:
 
 
 def check_jacobi(sc: StructureConstants) -> JacobiReport:
-    """Exact Jacobi check over all basis triples.
+    """Exact Jacobi check over all basis triples, on the integer table.
 
     Reports the first violating triple (i, j, k) together with the
-    residual [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj].
+    residual [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj].  The sum is taken
+    with integer_bracket, so it is D^2 times the residual.
     """
     n = sc.dim
-    basis = [LieVector.basis(n, i) for i in range(n)]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    br = sc.integer_bracket
+    pair = [[br(unit[i], unit[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bij = sc.bracket(basis[i], basis[j])
             for k in range(j + 1, n):
-                r = (
-                    sc.bracket(bij, basis[k])
-                    + sc.bracket(sc.bracket(basis[j], basis[k]), basis[i])
-                    + sc.bracket(sc.bracket(basis[k], basis[i]), basis[j])
-                )
-                if not r.is_zero():
-                    return JacobiReport(False, (i, j, k), r)
+                terms = br(pair[i][j], unit[k]), br(pair[j][k], unit[i]), br(pair[k][i], unit[j])
+                r = [sum(t) for t in zip(*terms)]
+                if any(r):
+                    d2 = sc.integer_table[0] ** 2
+                    return JacobiReport(False, (i, j, k), LieVector(Fraction(x, d2) for x in r))
     return JacobiReport(True)
 
 
@@ -310,57 +311,39 @@ def lower_central_series(sc: StructureConstants) -> CentralSeries:
 
     Raises NotNilpotentError if the series stabilizes at nonzero
     dimension, NotAdaptedError if some g^(j) is not a trailing
-    coordinate subspace.
+    coordinate subspace.  Nilpotency is decided first, over the whole
+    series.  The rref of a d-dimensional g^(j) is the unit rows
+    e_(n-d), ..., e_(n-1) exactly when its pivots are n-d, ..., n-1.
     """
     n = sc.dim
-    spans = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
-    current = spans[0]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    current, pivot_lists = unit, []
     while True:
+        # brackets run on integer numerators: a row's multiple spans the same line
         nxt = []
         for v in current:
-            for i in range(n):
-                e = [Fraction(0)] * n
-                e[i] = Fraction(1)
-                w = sc.bracket_coords(v, e)
-                if any(w):
-                    nxt.append([_frac(x) for x in w])
-        echelon, _ = linalg.rref(nxt)
+            xs = integer_numerators(v)[0]
+            nxt += [w for e in unit if any(w := sc.integer_bracket(xs, e))]
+        echelon, pivots = linalg.rref(nxt)
         if len(echelon) == len(current):
             raise NotNilpotentError(
                 f"series stabilized at dimension {len(echelon)}"
             )
         if not echelon:
             break
-        spans.append(echelon)
+        pivot_lists.append(pivots)
         current = echelon
 
-    step = len(spans)
-    # verify suffix shape: g^(j) == span(e_k : k >= n - dim g^(j))
     starts = [0]
-    for j in range(1, step):
-        d = len(spans[j])
-        start = n - d
-        for row in spans[j]:
-            if any(row[:start]):
-                raise NotAdaptedError(
-                    f"g^({j}) is not spanned by the last {d} basis vectors"
-                )
-        # rref of a full trailing coordinate subspace must be the identity
-        # pattern on those coordinates
-        for idx, row in enumerate(spans[j]):
-            expect = [Fraction(int(c == start + idx)) for c in range(n)]
-            if row != expect:
-                raise NotAdaptedError(
-                    f"g^({j}) is not the full span of basis vectors {start}..{n - 1}"
-                )
+    for j, pivots in enumerate(pivot_lists, 1):
+        start = n - len(pivots)
+        if pivots != list(range(start, n)):
+            raise NotAdaptedError(
+                f"g^({j}) is not spanned by the last {len(pivots)} basis vectors"
+            )
         starts.append(start)
-    if any(starts[a] > starts[a + 1] for a in range(len(starts) - 1)):
-        raise NotAdaptedError("levels are not in increasing basis order")
-    dims = []
-    for p in range(step):
-        end = starts[p + 1] if p + 1 < step else n
-        dims.append(end - starts[p])
-    return CentralSeries(tuple(dims), tuple(starts), step)
+    dims = [b - a for a, b in zip(starts, starts[1:] + [n])]
+    return CentralSeries(tuple(dims), tuple(starts), len(starts))
 
 
 def project(sc: StructureConstants, x: LieVector, p: int):

@@ -57,9 +57,6 @@ class PolyRing:
     def zero(self):
         return MultiPoly(self, {})
 
-    def one(self):
-        return self.const(1)
-
     def const(self, c):
         c = Fraction(c)
         if not c:
@@ -231,7 +228,7 @@ class MultiPoly:
                     factors.append(f"{self.ring.names[i]}^{e}")
             body = "*".join(factors)
             if not body:
-                parts.append((c, str(abs(c)) if abs(c) != 1 else str(abs(c))))
+                parts.append((c, str(abs(c))))
                 continue
             if abs(c) == 1:
                 parts.append((c, body))
@@ -399,13 +396,7 @@ def linearly_independent(polys):
     polys = list(polys)
     if not polys:
         raise ValueError("empty polynomial list")
-    monos, rows = coefficient_rows(polys)
-    if not monos:
-        # every polynomial is zero
-        lam = [Fraction(0)] * len(polys)
-        lam[0] = Fraction(1)
-        return False, lam
-    lam = linalg.left_kernel_vector(rows)
+    lam = linalg.left_kernel_vector(coefficient_rows(polys)[1])
     if lam is None:
         return True, None
     return False, lam

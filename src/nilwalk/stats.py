@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
 
 from .walk import (
     Character,
@@ -117,6 +116,8 @@ def clt_experiment(
     if degenerate:
         ks_stat, ks_p = 1.0, 0.0
     else:
+        from scipy import stats as spstats  # slow to import; only the KS test needs it
+
         ks_stat, ks_p = spstats.kstest(centered, "norm", args=(0.0, sigma_model))
     return CLTReport(
         N=N,

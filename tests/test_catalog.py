@@ -1,6 +1,6 @@
 import pytest
 
-from nilwalk import catalog
+from nilwalk import catalog, lie_core
 from nilwalk.lie_core import LieVector, check_jacobi
 
 
@@ -102,6 +102,17 @@ def test_random_step3_impossible_shape():
     # two generators span at most a line at level 1
     with pytest.raises(RuntimeError):
         catalog.random_step3(2, 2, 2, seed=0)
+
+
+def test_random_step3_propagates_faults(monkeypatch):
+    # only a rejected draw (LieAlgebraError) is retried; any other error
+    # in the series code surfaces instead of silently changing the draw
+    def broken(sc):
+        raise ZeroDivisionError("fault in the series code")
+
+    monkeypatch.setattr(lie_core, "lower_central_series", broken)
+    with pytest.raises(ZeroDivisionError):
+        catalog.random_step3(2, 1, 1, seed=0)
 
 
 def test_unknown_name():

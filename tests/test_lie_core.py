@@ -75,12 +75,17 @@ def test_bracket_bilinear_property(x, y, c):
 
 
 def test_jacobi_violation_reported():
-    # [X3,X1] = -X1 breaks the (X1,X2,X3) Jacobi sum
-    bad = StructureConstants(3, {(0, 1): {2: F(1)}, (0, 2): {0: F(1)}})
-    rep = check_jacobi(bad)
-    assert not rep.ok
-    assert rep.triple == (0, 1, 2)
-    assert any(rep.residual)
+    cases = [
+        # [X3,X1] = -X1 breaks the (X1,X2,X3) Jacobi sum
+        ({(0, 1): {2: F(1)}, (0, 2): {0: F(1)}}, (0, 0, -1)),
+        # the same shape over the common denominator D = 6
+        ({(0, 1): {2: F(1, 2)}, (0, 2): {0: F(1, 3)}}, (0, 0, F(-1, 6))),
+    ]
+    for brackets, residual in cases:
+        rep = check_jacobi(StructureConstants(3, brackets))
+        assert not rep.ok
+        assert rep.triple == (0, 1, 2)
+        assert rep.residual == LieVector(residual)
 
 
 def test_jacobi_clean_on_catalog():
@@ -103,6 +108,14 @@ def test_series_shapes():
 def test_not_nilpotent_detected():
     # [X1,X2] = X2 keeps regenerating X2 forever
     sc = StructureConstants(2, {(0, 1): {1: F(1)}})
+    with pytest.raises(NotNilpotentError):
+        sc.series
+
+
+def test_not_nilpotent_takes_precedence_over_not_adapted():
+    # [X3,X1] = X1: g^(1) = span(X1) sits at the front of the basis, but
+    # the series stabilizes there, and that is the error reported
+    sc = StructureConstants(3, {(0, 2): {0: F(-1)}})
     with pytest.raises(NotNilpotentError):
         sc.series
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent import futures
 from fractions import Fraction
 
 import pytest
 
+import nilwalk
 from nilwalk import catalog
 from nilwalk.lie_core import LieVector
 from nilwalk.stats import (
@@ -104,6 +108,21 @@ def test_clt_deterministic(monkeypatch):
     monkeypatch.setenv("NILWALK_WORKERS", "2")
     pooled = clt_experiment(cfg, Character((1,)), N=8, trials=trials, seed=9)
     assert pools == [2] and pooled == one
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only the KS test in
+    # clt_experiment needs it, so importing the package must not load it
+    src = os.path.dirname(os.path.dirname(nilwalk.__file__))
+    code = "import sys, nilwalk; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_lemma_quadratic_cosine_bound():
