@@ -23,6 +23,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,14 +132,33 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
     test suite cross-checks it against word_eval on small cases.  The
     generators are LieVector logs.
     """
-    seed_logs = [word_eval(sc, w, generators) for w in pair.seeds]
-    logL, logR = seed_logs[0], seed_logs[1]
-    for q in range(1, pair.level + 1):
-        logw = seed_logs[q + 1]
-        newL = bch_product(sc, bch_product(sc, logL, logw), logR)
-        newR = bch_product(sc, bch_product(sc, logR, logw), logL)
-        logL, logR = newL, newR
-    return logL, logR
+    return _lr_logs(sc, pair.seeds, generators, {})
+
+
+def _lr_logs(sc: StructureConstants, seeds, generators, memo):
+    """(log L_q, log R_q) for q = len(seeds) - 2, from the seed Words.
+
+    memo maps each seed Word to its log and each seed prefix (a tuple of
+    Words) to its level's pair of logs.  (L_q, R_q) depends only on
+    seeds[:q+2], so callers that share one memo across many seed tuples
+    evaluate every common prefix once.
+    """
+    if seeds in memo:
+        return memo[seeds]
+    for w in seeds:
+        if w not in memo:
+            memo[w] = word_eval(sc, w, generators)
+    if len(seeds) == 2:
+        out = (memo[seeds[0]], memo[seeds[1]])
+    else:
+        logL, logR = _lr_logs(sc, seeds[:-1], generators, memo)
+        logw = memo[seeds[-1]]
+        out = (
+            bch_product(sc, bch_product(sc, logL, logw), logR),
+            bch_product(sc, bch_product(sc, logR, logw), logL),
+        )
+    memo[seeds] = out
+    return out
 
 
 def _in_quotient(sc: StructureConstants, p: int, generators):
@@ -199,19 +219,62 @@ class DiophantineReport:
     float_error_bound: float
 
 
-# Largest scan chunk, in rows: a chunk is the (2 q_max + 1)^(d-1) grid
-# over the trailing coordinates (the whole 2 q_max + 1 line for d = 1).
-# 2^18 rows kept a chunk's arrays under 60 MB for d <= 8 (measured at
-# d = 4, q_max = 31), and admits every d <= 2 scan up to q_max = 10000
-# and d = 3 up to q_max = 255.
+# Largest leading value, in rows: each leading value of n carries the
+# (2 q_max + 1)^(d-1) grid over the trailing coordinates, and a scan whose
+# leading values carry more is refused.  2^18 rows kept a chunk's arrays
+# under 60 MB for d <= 8 (measured at d = 4, q_max = 31).
 MAX_SCAN_ROWS = 1 << 18
+# A scan runs over chunks of consecutive leading values, as many per chunk
+# as fit in SCAN_CHUNK_ENTRIES entries (rows times d), and at least one.
+# From about 2^19 entries numpy's matrix-vector product took OpenBLAS's
+# threaded path and 20-50 ns per row, against 1-3 ns below it (OpenBLAS
+# 0.3.31 with its default threads, 2-core x86-64 VM).
+SCAN_CHUNK_ENTRIES = 1 << 18
+# Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.6 s of
+# CPU at d = 1 and 2 and 3.6 s at d = 3 (24-54 ns per point, same VM).
+MAX_SCAN_POINTS = 1 << 26
+
+
+def _leading_runs(d: int, q_max: int):
+    """Chunks (lo, hi) of the leading values -q_max..q_max, in order."""
+    width = max(1, SCAN_CHUNK_ENTRIES // (d * (2 * q_max + 1) ** (d - 1)))
+    return [(lo, min(lo + width - 1, q_max)) for lo in range(-q_max, q_max + 1, width)]
+
+
+def _scan_grid(d: int, q_max: int, tau: float, lo: int, hi: int):
+    """The points n of the box |n| <= q_max with leading value in lo..hi,
+    as float rows in lexicographic order; |n|^tau for each (max norm);
+    and the index of n = 0 among them, empty when the chunk misses it.
+    All read-only, since cached grids are shared between scans."""
+    axes = [np.arange(lo, hi + 1)] + [np.arange(-q_max, q_max + 1) for _ in range(d - 1)]
+    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    points = np.stack(grids, axis=1).astype(float)
+    norms = functools.reduce(np.maximum, [np.abs(g) for g in grids]).astype(float)
+    zero = np.flatnonzero(norms == 0)
+    norms[zero] = 1.0  # never read; keeps 0 ** tau out for tau < 0
+    weight = norms**tau
+    for a in (points, weight, zero):
+        a.flags.writeable = False
+    return points, weight, zero
+
+
+# Every candidate of a search scans the same box, so a box that fits in
+# one chunk is built once per (d, q_max, tau).  Chunked boxes are rebuilt
+# on each call, so the cache never holds more than 8 single-chunk grids.
+_whole_grid = functools.lru_cache(maxsize=8)(_scan_grid)
 
 
 def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     """Scan min |n.v - m| * |n|^tau over 0 < |n| <= q_max.
 
-    The scan runs in chunks over the leading coordinate of n; a chunk of
-    more than MAX_SCAN_ROWS rows raises ValueError before any allocation.
+    The points n, in lexicographic order, and their weights |n|^tau are
+    built once per (d, q_max, tau) and cached; a call computes n.v for
+    all of them with one matrix product and keeps the first minimum.  A
+    box of more than SCAN_CHUNK_ENTRIES entries is scanned in chunks of
+    consecutive leading values, built afresh on each call.  Non-finite
+    input, an error bound that overflows, a leading value whose rows
+    alone exceed MAX_SCAN_ROWS, and a box of more than MAX_SCAN_POINTS
+    points raise ValueError before any allocation.
     """
     v = np.asarray([float(x) for x in vector], dtype=float)
     d = v.size
@@ -219,49 +282,45 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
         raise ValueError("empty vector")
     if q_max < 1:
         raise ValueError("q_max must be positive")
-    rows = (2 * q_max + 1) ** max(d - 1, 1)
+    tau = float(tau)
+    if not (math.isfinite(tau) and np.all(np.isfinite(v))):
+        raise ValueError(f"Diophantine scan needs finite input: tau={tau}, vector={v.tolist()}")
+    rows = (2 * q_max + 1) ** (d - 1)
     if rows > MAX_SCAN_ROWS:
         raise ValueError(
             f"Diophantine scan too large: d={d}, q_max={q_max} needs chunks of "
             f"{rows} rows, over the limit of {MAX_SCAN_ROWS}; lower q_max"
         )
-    rng1 = np.arange(-q_max, q_max + 1)
+    points = (2 * q_max + 1) ** d
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"Diophantine scan too large: d={d}, q_max={q_max} covers {points} "
+            f"points, over the budget of {MAX_SCAN_POINTS}; lower q_max"
+        )
+    eps = np.finfo(float).eps
+    try:
+        err = eps * (1.0 + q_max * float(np.sum(np.abs(v)))) * float(q_max) ** tau
+    except OverflowError:
+        err = math.inf
+    if not math.isfinite(err):
+        raise ValueError(f"Diophantine scan overflows floats: q_max={q_max}, tau={tau}")
 
     best = math.inf
     best_n = None
-    if d == 1:
-        n = rng1[rng1 != 0].astype(float)
-        r = n * v[0]
-        dist = np.abs(r - np.round(r))
-        vals = dist * np.abs(n) ** tau
+    runs = _leading_runs(d, q_max)
+    build = _whole_grid if len(runs) == 1 else _scan_grid
+    for lo, hi in runs:
+        grid, weight, zero = build(d, q_max, tau, lo, hi)
+        r = grid @ v
+        vals = np.abs(r - np.round(r)) * weight
+        vals[zero] = math.inf
         i = int(np.argmin(vals))
-        best = float(vals[i])
-        best_n = (int(n[i]),)
-    else:
-        # chunk over the leading coordinate to bound memory
-        tail = None
-        for n1 in rng1:
-            if tail is None:
-                grids = np.meshgrid(*([rng1] * (d - 1)), indexing="ij")
-                tail = np.stack([g.ravel() for g in grids], axis=1)
-            block = np.concatenate(
-                [np.full((tail.shape[0], 1), n1), tail], axis=1
-            ).astype(float)
-            norms = np.max(np.abs(block), axis=1)
-            mask = norms > 0
-            block, norms = block[mask], norms[mask]
-            r = block @ v
-            dist = np.abs(r - np.round(r))
-            vals = dist * norms**tau
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best = float(vals[i])
-                best_n = tuple(int(x) for x in block[i])
-    eps = np.finfo(float).eps
-    err = eps * (1.0 + q_max * float(np.sum(np.abs(v)))) * float(q_max) ** tau
+        if vals[i] < best:
+            best = float(vals[i])
+            best_n = tuple(int(x) for x in grid[i])
     return DiophantineReport(
         vector=tuple(float(x) for x in v),
-        tau=float(tau),
+        tau=tau,
         q_max=int(q_max),
         gamma_hat=best,
         worst_n=best_n,
@@ -270,7 +329,9 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
 
 
 def default_q_max(dim: int) -> int:
-    return 10_000 if dim <= 2 else 100
+    """The q_max a search uses when none is given; it keeps the scan
+    inside MAX_SCAN_POINTS."""
+    return 10_000 if dim == 1 else 100
 
 
 # -- search for well-distributed pairs -----------------------------------------
@@ -292,7 +353,7 @@ def _seed_words(m, allow_empty):
         words.append(())
     words.extend((i,) for i in range(m))
     words.extend((i, j) for i in range(m) for j in range(m))
-    return words
+    return [Word(w) for w in words]
 
 
 def nice_pair_search(
@@ -313,6 +374,13 @@ def nice_pair_search(
     reports failure), nonzero blocks are scanned and the largest
     gamma_hat wins.  Ties keep the
     earliest candidate, so results are reproducible.
+
+    Candidates that share a seed prefix share its L/R logs: the search
+    keeps every seed-word log and every prefix's level logs for the
+    length of the call, so a candidate costs one level step, one product
+    for W1 W2^(-1) and one scan of the grid that diophantine_estimate
+    caches.  Without q_max, the scan uses default_q_max(d), which stays
+    inside MAX_SCAN_POINTS.
     """
     if not (1 <= p < sc.step):
         raise ValueError(f"level must be in 1..{sc.step - 1}")
@@ -326,15 +394,15 @@ def nice_pair_search(
 
     bases = _seed_words(m, allow_empty=False)
     fillers = _seed_words(m, allow_empty=True)
+    memo = {}  # seed Word or seed prefix -> logs, see _lr_logs
     tried = 0
     zeros = 0
-    best = None  # (gamma_hat, pair, report, vec)
+    best = None  # (gamma_hat, seeds, report, vec)
     for seeds in itertools.product(bases, bases, *([fillers] * p)):
         if tried >= budget:
             break
         tried += 1
-        pair = build_lr(p, seeds, m)
-        logL, logR = word_pair_logs(q_sc, pair, gens)
+        logL, logR = _lr_logs(q_sc, seeds, gens, memo)
         h = bch_product(q_sc, logL, -logR)
         block = project(q_sc, h, p)
         if not any(block):
@@ -343,7 +411,7 @@ def nice_pair_search(
         vec = tuple(float(x) for x in block)
         rep = diophantine_estimate(vec, tau, q_max)
         if best is None or rep.gamma_hat > best[0]:
-            best = (rep.gamma_hat, pair, rep, vec)
+            best = (rep.gamma_hat, seeds, rep, vec)
     if best is None:
         return NicePairSearch(
             found=False,
@@ -355,7 +423,7 @@ def nice_pair_search(
         )
     return NicePairSearch(
         found=True,
-        pair=best[1],
+        pair=build_lr(p, best[1], m),
         report=best[2],
         level_vector=best[3],
         tried=tried,

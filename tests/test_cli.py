@@ -118,6 +118,11 @@ def test_words_exit_codes(capsys):
     assert code == 2 and "d=8, q_max=100" in err
     code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--generator", "1,0")
     assert code == 2 and "needs 3 coordinates: '1,0'" in err
+    code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--tau", "nan")
+    assert code == 2 and "finite input" in err
+    # a d = 2 level without --qmax scans the default q_max = 100 box
+    code, out, _ = run(capsys, "words", "triangular:3", "-p", "1")
+    assert code == 0 and json.loads(out)["q_max"] == 100
 
 
 def test_gap_min_gap_gate(capsys):
