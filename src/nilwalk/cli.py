@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 
 from . import __version__, catalog
-from .coords import LatticeError
 from .lie_core import (
     LieAlgebraError,
     LieVector,
@@ -27,17 +26,10 @@ from .lie_core import (
     load_algebra,
 )
 from .pencil import build_pencil, certify_greatness, evaluate_at_k, linearly_independent
-from .stats import ResonanceError, clt_experiment, lemma_a1_check
-from .walk import (
-    Character,
-    ObservableError,
-    correlation_sweep,
-    gap_profile,
-    golden_heisenberg_config,
-    transfer_eigenvalue,
-    walk_config,
-)
-from .words import nice_pair_search
+
+# The exact-side commands (check, pencil, certify) never touch a float, so
+# the numpy-backed modules (coords, walk, stats, words) are imported inside
+# the commands that use them.
 
 _SPECIAL_SCALARS = {
     "phi": (math.sqrt(5.0) - 1.0) / 2.0,
@@ -117,6 +109,8 @@ def _cnum(z):
 
 
 def _preset_config(name):
+    from .walk import golden_heisenberg_config, walk_config
+
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     if name == "golden-heisenberg":
         return golden_heisenberg_config()
@@ -152,6 +146,8 @@ def parse_generators(sc, tokens):
 
 
 def resolve_config(args):
+    from .walk import walk_config
+
     if getattr(args, "preset", None):
         return _preset_config(args.preset)
     if not getattr(args, "algebra", None):
@@ -167,7 +163,9 @@ def resolve_config(args):
     return walk_config(sc, gens, probs)
 
 
-def parse_character(tok: str, dim: int) -> Character:
+def parse_character(tok: str, dim: int):
+    from .walk import Character
+
     lam = [int(x) for x in tok.split(",")]
     if len(lam) > dim:
         raise ValueError(f"frequency has {len(lam)} entries but dim is {dim}")
@@ -271,6 +269,8 @@ def cmd_counterexample(args):
     short word pairs confirms that no candidate produces a nonzero
     level-3 displacement.
     """
+    from .words import nice_pair_search
+
     sc = catalog.example_5_6()
     t0 = time.time()
     cert2 = certify_greatness(sc, 2, budget=args.budget, seed=args.seed)
@@ -304,6 +304,8 @@ def cmd_counterexample(args):
 
 
 def cmd_words(args):
+    from .words import nice_pair_search
+
     sc = parse_algebra(args.algebra)
     if args.generator:
         gens = parse_generators(sc, args.generator)
@@ -338,6 +340,8 @@ def cmd_words(args):
 
 
 def cmd_gap(args):
+    from .walk import gap_profile
+
     config = resolve_config(args)
     entries = gap_profile(config, args.radius)
     gaps = [1.0 - e.modulus for e in entries]
@@ -364,6 +368,8 @@ def cmd_gap(args):
 
 
 def cmd_correlate(args):
+    from .walk import correlation_sweep, transfer_eigenvalue
+
     config = resolve_config(args)
     char = parse_character(args.character, config.dim)
     times = [int(x) for x in args.times.split(",")]
@@ -405,6 +411,8 @@ def cmd_correlate(args):
 
 
 def cmd_clt(args):
+    from .stats import clt_experiment
+
     config = resolve_config(args)
     char = parse_character(args.character, config.dim)
     rep = clt_experiment(config, char, N=args.N, trials=args.trials, seed=args.seed)
@@ -430,6 +438,8 @@ def cmd_clt(args):
 
 
 def cmd_lemma_a1(args):
+    from .stats import lemma_a1_check
+
     rep = lemma_a1_check(grid=args.grid)
     doc = {
         "ok": rep.ok,
@@ -546,17 +556,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        KeyError,
-        ValueError,
-        OSError,
-        LieAlgebraError,
-        LatticeError,
-        ObservableError,
-        ResonanceError,
-    ) as e:
+    except _input_errors() as e:  # evaluated only once something raised
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def _input_errors():
+    """The exceptions that mean bad input, exit code 2.  The walk-side
+    ones load numpy, so they are looked up only on the error path."""
+    from .coords import LatticeError
+    from .stats import ResonanceError
+    from .walk import ObservableError
+
+    return (KeyError, ValueError, OSError, LieAlgebraError, LatticeError, ObservableError, ResonanceError)
 
 
 if __name__ == "__main__":

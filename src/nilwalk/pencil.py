@@ -12,9 +12,13 @@ some integer choice of the k rows makes the coordinate polynomials
 linearly independent over Q; an algebra is m-great when that holds for
 every level 1 <= p <= step-1.
 
-Everything here is exact.  Rank decisions come from rational Gaussian
-elimination on the coefficient matrix over the monomial basis, and a
-dependence is always returned with its kernel certificate.
+Everything here is exact.  One builder, _nested_level, brackets on the
+algebra's integer table (D times the structure constants), so at integer
+k every coefficient stays a Python int until the level-p block is divided
+by D^p once; when D = 1 no Fraction is built at all.  Rank decisions
+come from rational Gaussian elimination on the coefficient matrix over
+the monomial basis, and a dependence is always returned with its kernel
+certificate.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .lie_core import StructureConstants
@@ -55,18 +60,19 @@ class PolyRing:
         self._zero_mono = (0,) * self.nvars
 
     def zero(self):
-        return MultiPoly(self, {})
+        return MultiPoly._of(self, {})
 
     def const(self, c):
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return MultiPoly(self, {})
         return MultiPoly(self, {self._zero_mono: c})
 
     def var(self, name):
         i = self.index[name]
-        mono = tuple(int(j == i) for j in range(self.nvars))
-        return MultiPoly(self, {mono: Fraction(1)})
+        mono = self._zero_mono[:i] + (1,) + self._zero_mono[i + 1 :]
+        return MultiPoly._of(self, {mono: 1})
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -81,7 +87,8 @@ def _mono_key(mono):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational (int or Fraction)
+    coefficients.  Immutable by convention: no operation changes terms."""
 
     __slots__ = ("ring", "terms")
 
@@ -89,11 +96,19 @@ class MultiPoly:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _of(cls, ring, terms):
+        """A polynomial on terms that hold no zero coefficient, kept as is."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
+
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -104,6 +119,10 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
@@ -111,7 +130,7 @@ class MultiPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly._of(self.ring, out)
 
     __radd__ = __add__
 
@@ -122,26 +141,34 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        if not self.terms:
+            return self
+        return MultiPoly._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()
-            return MultiPoly(self.ring, {m: c * other for m, c in self.terms.items()})
+            if not self.terms:
+                return self
+            return MultiPoly._of(self.ring, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return other
+        if not self.terms:
+            return self
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly._of(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -273,7 +300,7 @@ def generic_vectors(sc: StructureConstants, m: int, ring: PolyRing):
     n0 = sc.dims[0]
     vecs = []
     for i in range(m):
-        v = [ring.zero() for _ in range(sc.dim)]
+        v = [ring.zero()] * sc.dim
         for j in range(n0):
             v[j] = ring.var(f"a{i + 1}_{j + 1}")
         vecs.append(v)
@@ -284,26 +311,36 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     """Level-p coordinates of [ ... [W_0, W_1], ..., W_p ], p = len(weights) - 1.
 
     W_q = sum_i weights[q][i] V_i over the generic vectors of ring.  A
-    weight is a ring element (a symbolic k) or a rational (an integer k, or
+    weight is a ring element (a symbolic k) or a number (an integer k, or
     a unit row picking one V_i); zero weights are skipped.
+
+    The brackets run on the integer table D * c_ij^k (sc.integer_bracket),
+    so integer weights keep every coefficient an integer; the level-p
+    block, D^p times the pencil, is divided by D^p once at the end, and
+    not at all when D = 1.
     """
     p = len(weights) - 1
     if not (0 <= p < sc.step):
         raise ValueError(f"level {p} out of range for step {sc.step}")
     vecs = generic_vectors(sc, len(weights[0]), ring)
+    zero = ring.zero()
     acc = None
     for row in weights:
-        w = [ring.zero() for _ in range(sc.dim)]
+        w = [zero] * sc.dim
         for k, v in zip(row, vecs):
             if k:
                 for j in range(sc.dims[0]):
                     w[j] = w[j] + k * v[j]
-        acc = w if acc is None else sc.bracket_coords(acc, w)
-    # bracket_coords leaves untouched entries as int 0; normalize
-    return [
-        c if isinstance(c, MultiPoly) else ring.const(c)
-        for c in (acc[i] for i in sc.series.level_indices(p))
-    ]
+        acc = w if acc is None else sc.integer_bracket(acc, w)
+    scale = sc.integer_table[0] ** p
+    out = []
+    for i in sc.series.level_indices(p):
+        # integer_bracket leaves untouched entries as int 0
+        c = acc[i] if isinstance(acc[i], MultiPoly) else zero
+        if scale != 1:
+            c = MultiPoly._of(ring, {m: Fraction(x, scale) for m, x in c.terms.items()})
+        out.append(c)
+    return out
 
 
 def generic_nested_bracket(sc: StructureConstants, indices):
@@ -368,7 +405,8 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     kbar = [tuple(row) for row in kbar]
     if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
         raise ValueError(f"k must be {p + 1} rows of length {m}")
-    weights = [[Fraction(v) for v in row] for row in kbar]
+    # integer entries as Python ints keep the whole bracket on integers
+    weights = [[int(v) if v == int(v) else Fraction(v) for v in row] for row in kbar]
     return _nested_level(sc, alpha_ring(m, sc.dims[0]), weights)
 
 

@@ -225,10 +225,12 @@ class DiophantineReport:
 # under 60 MB for d <= 8 (measured at d = 4, q_max = 31).
 MAX_SCAN_ROWS = 1 << 18
 # A scan runs over chunks of consecutive leading values, as many per chunk
-# as fit in SCAN_CHUNK_ENTRIES entries (rows times d), and at least one.
-# From about 2^19 entries numpy's matrix-vector product took OpenBLAS's
-# threaded path and 20-50 ns per row, against 1-3 ns below it (OpenBLAS
-# 0.3.31 with its default threads, 2-core x86-64 VM).
+# as fit in SCAN_CHUNK_ENTRIES entries (rows times d), and at least one;
+# a chunk of more entries (one leading value, d >= 4) multiplies in row
+# blocks of at most SCAN_CHUNK_ENTRIES entries.  From about 2^19 entries
+# numpy's matrix-vector product took OpenBLAS's threaded path and 20-50 ns
+# per row, against 1-3 ns below it (OpenBLAS 0.3.31 with its default
+# threads, 2-core x86-64 VM).
 SCAN_CHUNK_ENTRIES = 1 << 18
 # Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.6 s of
 # CPU at d = 1 and 2 and 3.6 s at d = 3 (24-54 ns per point, same VM).
@@ -271,7 +273,8 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     built once per (d, q_max, tau) and cached; a call computes n.v for
     all of them with one matrix product and keeps the first minimum.  A
     box of more than SCAN_CHUNK_ENTRIES entries is scanned in chunks of
-    consecutive leading values, built afresh on each call.  Non-finite
+    consecutive leading values, built afresh on each call, and no matrix
+    product covers more than SCAN_CHUNK_ENTRIES entries.  Non-finite
     input, an error bound that overflows, a leading value whose rows
     alone exceed MAX_SCAN_ROWS, and a box of more than MAX_SCAN_POINTS
     points raise ValueError before any allocation.
@@ -309,9 +312,12 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     best_n = None
     runs = _leading_runs(d, q_max)
     build = _whole_grid if len(runs) == 1 else _scan_grid
+    block = max(1, SCAN_CHUNK_ENTRIES // d)
     for lo, hi in runs:
         grid, weight, zero = build(d, q_max, tau, lo, hi)
-        r = grid @ v
+        r = np.empty(len(grid))
+        for start in range(0, len(grid), block):
+            np.matmul(grid[start : start + block], v, out=r[start : start + block])
         vals = np.abs(r - np.round(r)) * weight
         vals[zero] = math.inf
         i = int(np.argmin(vals))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nilwalk
 from nilwalk.cli import main, parse_algebra, parse_scalar
 from fractions import Fraction
 
@@ -10,6 +14,47 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# -- imports -------------------------------------------------------------------
+
+
+def _fresh_python(code):
+    src = os.path.dirname(os.path.dirname(nilwalk.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # numpy is most of the import time of nilwalk.cli, and check, pencil
+    # and certify never touch a float
+    code = (
+        "import sys; from nilwalk import cli\n"
+        "codes = [cli.main(a) for a in (['certify', 'heisenberg', '-m', '2'],"
+        " ['pencil', 'heisenberg', '-m', '2', '-p', '1', '--k', '1,0;0,1'],"
+        " ['check', 'heisenberg'])]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    assert _fresh_python(code) == "[0, 0, 0] False"
+
+
+def test_numpy_backed_names_resolve_on_first_use():
+    code = (
+        "import sys, nilwalk\n"
+        "names = ('coords', 'walk', 'stats', 'words')\n"
+        "before = all(f'nilwalk.{n}' in sys.modules for n in names), 'numpy' in sys.modules\n"
+        "same = nilwalk.SecondKindSystem is nilwalk.coords.SecondKindSystem\n"
+        "print(before, same, 'numpy' in sys.modules, 'nice_pair_search' in dir(nilwalk))"
+    )
+    assert _fresh_python(code) == "(True, False) True True True"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nilwalk.no_such_name
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwalk import catalog
-from nilwalk.lie_core import algebra_to_json, direct_product
+from nilwalk.lie_core import algebra_to_json, direct_product, rescale_levels
 from nilwalk.linalg import left_kernel_vector
 from nilwalk.pencil import (
     MultiPoly,
@@ -17,8 +17,11 @@ from nilwalk.pencil import (
     build_pencil,
     certify_greatness,
     evaluate_at_k,
+    generic_nested_bracket,
+    generic_vectors,
     linearly_independent,
     pencil_at_k,
+    pencil_ring,
 )
 
 F = Fraction
@@ -139,6 +142,63 @@ def test_deeper_generator_components_are_irrelevant():
     pencil = build_pencil(sc, 2, 1)
     assert set(pencil.ring.names) >= {"a1_1", "a2_2", "k0_1", "k1_2"}
     assert not any("a1_3" in n for n in pencil.ring.names)
+
+
+# -- the integer bracket table against a Fraction reference ----------------------
+
+# common denominators D of the integer table: 2 and 60
+DENOMINATOR_ALGEBRAS = [
+    ("random_step3(3,3,2,0)", catalog.random_step3(3, 3, 2, seed=0)),
+    ("filiform(5) rescaled", rescale_levels(catalog.filiform(5), [1, F(2, 3), F(5, 2), 3])),
+]
+
+
+def _fraction_level(sc, ring, weights):
+    """Level-p block of the nested bracket on the rational table: every
+    coefficient a Fraction, bracket_coords at every step, no rescaling."""
+    vecs = generic_vectors(sc, len(weights[0]), ring)
+    acc = None
+    for row in weights:
+        w = [ring.zero() for _ in range(sc.dim)]
+        for k, v in zip(row, vecs):
+            for j in range(sc.dim):
+                w[j] = w[j] + k * (v[j] * F(1))
+        acc = w if acc is None else sc.bracket_coords(acc, w)
+    level = [acc[i] for i in sc.series.level_indices(len(weights) - 1)]
+    return [c if isinstance(c, MultiPoly) else ring.zero() for c in level]
+
+
+def _assert_same_polys(got, ref, context):
+    assert [c.terms for c in got] == [c.terms for c in ref], context
+    assert [str(c) for c in got] == [str(c) for c in ref], context
+
+
+PENCIL_ALGEBRAS = list(catalog.default_corpus()) + DENOMINATOR_ALGEBRAS
+
+
+@pytest.mark.parametrize("sc", [sc for _, sc in PENCIL_ALGEBRAS], ids=[n for n, _ in PENCIL_ALGEBRAS])
+def test_integer_pencil_matches_fraction_reference(sc):
+    n0 = sc.dims[0]
+    for m in (1, 2, 3):
+        for p in range(sc.step):
+            # entries in -2..2, zeros and negatives among them
+            kbar = [[(q + 2 * i) % 5 - 2 for i in range(m)] for q in range(p + 1)]
+            ref = _fraction_level(sc, alpha_ring(m, n0), [[F(k) for k in r] for r in kbar])
+            _assert_same_polys(pencil_at_k(sc, m, p, kbar), ref, (m, p, kbar))
+
+            word = tuple((q + q // m) % m for q in range(p + 1))
+            units = [[F(int(i == t)) for i in range(max(word) + 1)] for t in word]
+            ref = _fraction_level(sc, alpha_ring(len(units[0]), n0), units)
+            _assert_same_polys(generic_nested_bracket(sc, word), ref, word)
+
+            ring = pencil_ring(m, n0, p)
+            kvars = [[ring.var(f"k{q}_{i + 1}") * F(1) for i in range(m)] for q in range(p + 1)]
+            ref = _fraction_level(sc, ring, kvars)
+            _assert_same_polys(build_pencil(sc, m, p).coords, ref, (m, p))
+
+
+def test_denominator_algebras_have_nontrivial_integer_tables():
+    assert [sc.integer_table[0] for _, sc in DENOMINATOR_ALGEBRAS] == [2, 60]
 
 
 # -- certificates ------------------------------------------------------------------

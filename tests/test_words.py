@@ -302,6 +302,27 @@ def test_scan_matches_per_leading_value_reference():
             a[0] = 0
 
 
+def test_scan_matvecs_stay_under_chunk_entries(monkeypatch):
+    # at d = 4, q_max = 31 one leading value carries 63^3 rows, about four
+    # times SCAN_CHUNK_ENTRIES entries; bigger products took OpenBLAS's
+    # threaded path, so the chunk is multiplied in row blocks
+    assert 4 * 63**3 > words.SCAN_CHUNK_ENTRIES
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        sizes.append(a.size)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    vector = [0.3125, -0.7734, 0.1187, math.sqrt(2.0) - 1.0]
+    rep = diophantine_estimate(vector, tau=4.0, q_max=31)
+    monkeypatch.undo()
+    assert max(sizes) <= words.SCAN_CHUNK_ENTRIES
+    assert sum(sizes) == 4 * 63**4
+    assert (rep.gamma_hat, rep.worst_n) == reference_scan(vector, 4.0, 31)
+
+
 # -- search ------------------------------------------------------------------------
 
 
