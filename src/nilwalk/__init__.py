@@ -33,7 +33,6 @@ from .pencil import (
     PolyRing,
     build_pencil,
     certify_greatness,
-    evaluate_at_k,
     linearly_independent,
     pencil_at_k,
 )

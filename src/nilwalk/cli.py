@@ -25,7 +25,7 @@ from .lie_core import (
     check_jacobi,
     load_algebra,
 )
-from .pencil import build_pencil, certify_greatness, evaluate_at_k, linearly_independent
+from .pencil import build_pencil, certify_greatness, linearly_independent, pencil_at_k
 
 # The exact-side commands (check, pencil, certify) never touch a float, so
 # the numpy-backed modules (coords, walk, stats, words) are imported inside
@@ -228,7 +228,7 @@ def cmd_pencil(args):
         ]
         if len(rows) != args.p + 1 or any(len(r) != args.m for r in rows):
             raise ValueError(f"--k needs {args.p + 1} rows of {args.m} integers")
-        evaluated = evaluate_at_k(pencil, rows)
+        evaluated = pencil_at_k(sc, args.m, args.p, rows)
         ok, kernel = linearly_independent(evaluated)
         doc["at_k"] = {
             "k": [list(r) for r in rows],

@@ -1,9 +1,12 @@
-"""Exact linear algebra over Fraction for small dense systems.
+"""Exact linear algebra for small dense systems.
 
 Everything here works on lists of lists of Fractions (or ints).  Matrices
 are tiny (a few hundred rows at most), so plain Gaussian elimination with
 exact rational arithmetic is both fast enough and free of pivoting
-subtleties.  One forward elimination, _echelon, serves every routine.
+subtleties.  One forward elimination over Q, _echelon, serves rref, the
+null space and the left-kernel certificate; independent_rows decides
+independence of integer rows alone, fraction-free (Bareiss), so it never
+builds a Fraction.
 """
 
 from __future__ import annotations
@@ -74,6 +77,37 @@ def left_kernel_vector(rows):
     """
     m, pivots, t = _echelon(rows, True)
     return t[len(pivots)] if len(pivots) < len(m) else None
+
+
+def independent_rows(rows):
+    """Whether the integer rows are linearly independent over Q.
+
+    Fraction-free elimination (Bareiss 1968): each update a*x - b*y of a
+    row is divided by the previous pivot, and that division is exact, so
+    every entry stays an integer of bounded size.  Agrees with
+    left_kernel_vector(rows) is None.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    prev = 1
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r == nrows:
+            break
+        for pivot in range(r, nrows):
+            if m[pivot][c]:
+                break
+        else:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top = m[r]
+        a = top[c]
+        for i in range(r + 1, nrows):
+            b = m[i][c]
+            m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+        prev = a
+        r += 1
+    return r == nrows
 
 
 def nullspace(rows):

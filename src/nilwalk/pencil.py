@@ -15,18 +15,26 @@ every level 1 <= p <= step-1.
 Everything here is exact.  One builder, _nested_level, brackets on the
 algebra's integer table (D times the structure constants), so at integer
 k every coefficient stays a Python int until the level-p block is divided
-by D^p once; when D = 1 no Fraction is built at all.  Rank decisions
-come from rational Gaussian elimination on the coefficient matrix over
-the monomial basis, and a dependence is always returned with its kernel
-certificate.
+by D^p once; when D = 1 no Fraction is built at all.  Rank decisions on
+polynomials come from rational Gaussian elimination on the coefficient
+matrix over the monomial basis, and a dependence is always returned with
+its kernel certificate.
+
+A witness try needs only a yes, and integer evaluation proves one
+without building a polynomial: if the n_p x n_p integer matrix of the
+level-p coordinates at n_p fixed points a^(t) is nonsingular, no
+dependence lam can kill every row, so the coordinates are independent.
+A singular matrix proves nothing, and then the polynomial rank decides,
+so every decision is the polynomial one.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .lie_core import StructureConstants
@@ -39,7 +47,6 @@ __all__ = [
     "generic_vectors",
     "generic_nested_bracket",
     "build_pencil",
-    "evaluate_at_k",
     "pencil_at_k",
     "linearly_independent",
     "certify_greatness",
@@ -382,32 +389,67 @@ def build_pencil(sc: StructureConstants, m: int, p: int) -> Pencil:
     return Pencil(m=m, p=p, coords=coords, ring=ring, n0=n0)
 
 
-def evaluate_at_k(pencil: Pencil, kbar):
-    """Substitute an integer matrix for the k rows; polynomials in a only."""
+def _check_k(sc, kbar, m, p):
+    if not (0 <= p < sc.step):
+        raise ValueError(f"level {p} out of range for step {sc.step}")
     kbar = [tuple(row) for row in kbar]
-    if len(kbar) != pencil.p + 1 or any(len(r) != pencil.m for r in kbar):
-        raise ValueError(f"k must be {pencil.p + 1} rows of length {pencil.m}")
-    subs = {}
-    for q, row in enumerate(kbar):
-        for i, v in enumerate(row):
-            subs[f"k{q}_{i + 1}"] = Fraction(v)
-    target = alpha_ring(pencil.m, pencil.n0)
-    return [c.substitute(subs).project(target) for c in pencil.coords]
+    if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
+        raise ValueError(f"k must be {p + 1} rows of length {m}")
+    return kbar
 
 
 def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     """H_{m,p}(kbar, a) computed directly, without the symbolic k block.
 
-    Same value as evaluate_at_k(build_pencil(sc, m, p), kbar) but one
-    nested bracket of numeric combinations, which is what the witness
-    search wants to run hundreds of times.
+    Same value as substituting kbar for the k variables of
+    build_pencil(sc, m, p), but one nested bracket of numeric
+    combinations.
     """
-    kbar = [tuple(row) for row in kbar]
-    if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
-        raise ValueError(f"k must be {p + 1} rows of length {m}")
+    kbar = _check_k(sc, kbar, m, p)
     # integer entries as Python ints keep the whole bracket on integers
     weights = [[int(v) if v == int(v) else Fraction(v) for v in row] for row in kbar]
     return _nested_level(sc, alpha_ring(m, sc.dims[0]), weights)
+
+
+POINT_BOUND = 2**20
+
+
+@functools.cache
+def _points(m, n0, n):
+    """n fixed integer points a^(t), entries in [-POINT_BOUND, POINT_BOUND]
+    from a seeded stream of their own, built once per (m, n0, n); a point
+    is stored as its n0 columns (a_{1,j}, ..., a_{m,j})."""
+    rng = random.Random(f"pencil points m={m} n0={n0} n={n}")
+    return [
+        [tuple(rng.randint(-POINT_BOUND, POINT_BOUND) for _ in range(m)) for _ in range(n0)]
+        for _ in range(n)
+    ]
+
+
+def _proved_independent(sc: StructureConstants, m: int, p: int, kbar):
+    """True when integer evaluation proves H_{m,p}(kbar, a) independent.
+
+    Row t of the matrix is the level-p block of D^p times the pencil at
+    the point a^(t), one integer nested bracket.  A nonsingular matrix is
+    a proof; False only means not proved, as does any non-int entry of
+    kbar.
+    """
+    kbar = _check_k(sc, kbar, m, p)
+    if not all(isinstance(v, int) for row in kbar for v in row):
+        return False
+    n0 = sc.dims[0]
+    level = sc.series.level_indices(p)
+    pad = [0] * (sc.dim - n0)
+    rows = []
+    for point in _points(m, n0, len(level)):
+        acc = None
+        for row in kbar:
+            w = [sum(map(mul, row, col)) for col in point] + pad
+            acc = w if acc is None else sc.integer_bracket(acc, w)
+        rows.append([acc[i] for i in level])
+        if not any(rows[-1]):
+            return False
+    return linalg.independent_rows(rows)
 
 
 def coefficient_rows(polys):
@@ -493,11 +535,18 @@ class GreatnessCertificate:
         raise KeyError(p)
 
     def verify(self, sc: StructureConstants):
-        """Re-check every stored witness and kernel from scratch."""
+        """Re-check every stored witness and kernel from scratch.
+
+        A witness is proved by integer evaluation, or else by the exact
+        polynomial rank of its pencil, so the answer is exact either way.
+        """
         for lv in self.levels:
             if lv.status == "witness":
-                ok, _ = linearly_independent(pencil_at_k(sc, self.m, lv.p, lv.witness))
-                if not ok:
+                m, p, k = self.m, lv.p, lv.witness
+                if not (
+                    _proved_independent(sc, m, p, k)
+                    or linearly_independent(pencil_at_k(sc, m, p, k))[0]
+                ):
                     return False
             elif lv.status == "degenerate" and lv.proof == "uniform_kernel":
                 pen = build_pencil(sc, self.m, lv.p)
@@ -520,8 +569,10 @@ class GreatnessCertificate:
         }
 
 
+@functools.cache
 def _structured_candidates(m, p):
-    """Witness guesses worth trying before random search.
+    """Witness guesses worth trying before random search, as a tuple
+    built once per (m, p).
 
     For two generic vectors the rows (e1, e2, then e2/e1 choices) cover
     the alternating patterns the step <= 3 and shift-algebra arguments
@@ -543,7 +594,7 @@ def _structured_candidates(m, p):
         out.append(tuple(unit(q) for q in range(p + 1)))
     if m == 1:
         out.append(((1,),) * (p + 1))
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))
 
 
 def _symbolic_proof(pen: Pencil, tried: int):
@@ -577,11 +628,15 @@ def certify_greatness(
     """Search for witnesses at every level 1..step-1, else prove degeneracy.
 
     Structured candidates first, then uniform random integer rows in
-    {-3..3} up to the per-level budget.  A level with no witness found is
-    settled symbolically when possible: either every pencil coordinate is
-    the zero polynomial, or a single rational kernel annihilates the
-    whole symbolic pencil (hence every integer evaluation).  Otherwise
-    the level is reported undetermined.
+    {-3..3} up to the per-level budget.  Integer evaluation at fixed
+    points proves most witnesses; a try it does not prove is decided by
+    the polynomial rank of pencil_at_k, so every decision, and with it
+    the certificate, is the one the polynomials give.
+
+    A level with no witness found is settled symbolically when possible:
+    either every pencil coordinate is the zero polynomial, or a single
+    rational kernel annihilates the whole symbolic pencil (hence every
+    integer evaluation).  Otherwise the level is reported undetermined.
 
     A level settles before its budget runs out when every structured
     candidate gives the all-zero pencil: a nonzero pencil of degree D
@@ -589,6 +644,11 @@ def certify_greatness(
     (Schwartz-Zippel), so the symbolic pencil is built then, once, and
     decides the level if it is zero or has a uniform kernel.  If it does
     not, the random search goes on and the built pencil is not rebuilt.
+    The build waits for the first random try: when evaluation proves
+    that try a witness, the level cannot be degenerate and no build is
+    needed.  Otherwise the build decides first, and when it settles the
+    level the draw is undone, so the random stream and every certificate
+    are as if the build had come before the draw.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -598,23 +658,28 @@ def certify_greatness(
         found = pen = settled = None
         all_zero = True
         tried = 0
-        candidates = _structured_candidates(m, p)
+        candidates = list(_structured_candidates(m, p))
         while tried < budget:
             if candidates:
                 kbar = candidates.pop(0)
             else:
-                if all_zero and pen is None:
-                    pen = build_pencil(sc, m, p)
-                    settled = _symbolic_proof(pen, tried)
-                    if settled is not None:
-                        break
+                settle = all_zero and pen is None
+                undrawn = rng.getstate() if settle else None
                 kbar = tuple(
                     tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1)
                 )
+                if settle and not _proved_independent(sc, m, p, kbar):
+                    pen = build_pencil(sc, m, p)
+                    settled = _symbolic_proof(pen, tried)
+                    if settled is not None:
+                        rng.setstate(undrawn)
+                        break
             tried += 1
-            polys = pencil_at_k(sc, m, p, kbar)
-            all_zero = all_zero and all(c.is_zero() for c in polys)
-            ok, _ = linearly_independent(polys)
+            ok = _proved_independent(sc, m, p, kbar)
+            if not ok:
+                polys = pencil_at_k(sc, m, p, kbar)
+                all_zero = all_zero and all(c.is_zero() for c in polys)
+                ok, _ = linearly_independent(polys)
             if ok:
                 found = kbar
                 break

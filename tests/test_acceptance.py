@@ -42,7 +42,6 @@ from nilwalk.pencil import (
     alpha_ring,
     build_pencil,
     certify_greatness,
-    evaluate_at_k,
     generic_nested_bracket,
 )
 from nilwalk.stats import clt_experiment, lemma_a1_check
@@ -158,7 +157,8 @@ def test_02_nested_bracket_reproduction(capsys):
 
     # the same coordinates fall out of the symbolic pencil at the
     # matching unit k-pattern
-    at_k = evaluate_at_k(build_pencil(sc, 2, 2), [(1, 0), (0, 1), (1, 0)])
+    subs = {"k0_1": 1, "k0_2": 0, "k1_1": 0, "k1_2": 1, "k2_1": 1, "k2_2": 0}
+    at_k = [c.substitute(subs).project(ring) for c in build_pencil(sc, 2, 2).coords]
     ok = ok and [str(p) for p in at_k] == [str(p) for p in expected]
 
     _emit(capsys, 2, "dim-5 nested bracket", ok,

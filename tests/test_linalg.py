@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk.linalg import left_kernel_vector, nullspace, rref
+from nilwalk.linalg import independent_rows, left_kernel_vector, nullspace, rref
 
 F = Fraction
 
@@ -96,6 +96,40 @@ def test_rank_plus_nullity(rows):
     for i, row in enumerate(ech):
         assert not any(row[: piv[i]])
         assert [r[piv[i]] for r in ech] == [F(int(j == i)) for j in range(len(ech))]
+
+
+@st.composite
+def integer_square_matrices(draw):
+    """Small square integer matrices; about half are made singular by
+    setting one row to an integer combination of the others."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-(2**20), 2**20) | st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        others = [(c, r) for t, (c, r) in enumerate(zip(coeffs, rows)) if t != i]
+        rows[i] = [sum(c * r[j] for c, r in others) for j in range(n)]
+        return rows, True
+    return rows, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_square_matrices())
+def test_independent_rows_agrees_with_left_kernel(case):
+    rows, singular = case
+    got = independent_rows(rows)
+    assert got == (left_kernel_vector(rows) is None)
+    if singular:
+        assert not got
+
+
+def test_independent_rows_on_rectangular_and_empty_input():
+    assert independent_rows([]) is True
+    assert independent_rows([[1, 2, 3], [2, 4, 7]])
+    assert not independent_rows([[1, 2, 3], [2, 4, 6]])
+    assert not independent_rows([[1, 0], [0, 1], [1, 1]])
+    assert not independent_rows([[0, 0]])
 
 
 def test_empty_input():

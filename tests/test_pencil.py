@@ -1,22 +1,27 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk import catalog
+from nilwalk import catalog, pencil
 from nilwalk.lie_core import algebra_to_json, direct_product, rescale_levels
 from nilwalk.linalg import left_kernel_vector
 from nilwalk.pencil import (
+    POINT_BOUND,
+    GreatnessCertificate,
+    LevelCertificate,
     MultiPoly,
     PolyRing,
+    _points,
+    _proved_independent,
     _structured_candidates,
     alpha_ring,
     build_pencil,
     certify_greatness,
-    evaluate_at_k,
     generic_nested_bracket,
     generic_vectors,
     linearly_independent,
@@ -130,7 +135,8 @@ def test_symbolic_pencil_matches_pointwise_evaluation():
     sc = catalog.example_3_2()
     pencil = build_pencil(sc, 2, 2)
     rows = [(2, -1), (1, 1), (0, 3)]
-    via_symbol = evaluate_at_k(pencil, rows)
+    subs = {f"k{q}_{i + 1}": v for q, row in enumerate(rows) for i, v in enumerate(row)}
+    via_symbol = [c.substitute(subs).project(alpha_ring(2, 2)) for c in pencil.coords]
     direct = pencil_at_k(sc, 2, 2, rows)
     assert list(via_symbol) == list(direct)
 
@@ -278,6 +284,30 @@ def test_full_rank_symbolic_pencil_resumes_random_search():
     assert lvl.witness == ((3, 0, 3), (0, -3, -1), (1, 0, 0), (3, 3, -1))
 
 
+def test_symbolic_build_waits_for_an_unproved_random_try(monkeypatch):
+    builds, streams = [], []
+    build = pencil.build_pencil
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append(self)
+
+    monkeypatch.setattr(
+        pencil, "build_pencil", lambda sc, m, p: builds.append(m) or build(sc, m, p)
+    )
+    monkeypatch.setattr(pencil.random, "Random", Recorded)
+    sc = catalog.example_5_6()
+    # at m=3 evaluation proves the first random try, so nothing is built
+    assert certify_greatness(sc, 3).level(3).tried == 5
+    # at m=2 the first random try proves nothing; the build settles level
+    # 3 and the draw is undone, leaving the seed-0 stream untouched
+    cert = certify_greatness(sc, 2)
+    assert builds == [2]
+    assert all(lv.tried <= len(_structured_candidates(2, lv.p)) for lv in cert.levels)
+    assert streams[1].getstate() == random.Random(0).getstate()
+
+
 def test_tampered_certificate_fails_verify():
     sc = catalog.heisenberg()
     cert = certify_greatness(sc, 2)
@@ -287,6 +317,88 @@ def test_tampered_certificate_fails_verify():
     sc, cert = _uniform_kernel_case()
     object.__setattr__(cert.level(3), "kernel", (F(0), F(1)))
     assert not cert.verify(sc)
+
+
+# -- witnesses proved by integer evaluation -------------------------------------------
+
+
+def _random_k(rng, m, p):
+    return tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1))
+
+
+def _certify_tries(sc, m):
+    """Every (p, k) that certify_greatness(sc, m) tries, rebuilt from its
+    certificate: structured candidates first, then the seed-0 stream."""
+    rng = random.Random(0)
+    out = []
+    for lv in certify_greatness(sc, m).levels:
+        tries = list(_structured_candidates(m, lv.p)[: lv.tried])
+        while len(tries) < lv.tried:
+            tries.append(_random_k(rng, m, lv.p))
+        if lv.status == "witness":
+            assert tries[-1] == lv.witness
+        out += [(lv.p, k) for k in tries]
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_evaluation_agrees_with_polynomial_rank_on_every_certify_try(m):
+    # over the corpus and the uniform-kernel product, evaluation proves a
+    # try exactly when the polynomial rank finds no kernel
+    algebras = [sc for _, sc in catalog.default_corpus()] + [_uniform_kernel_case()[0]]
+    for sc in algebras:
+        for p, kbar in _certify_tries(sc, m):
+            ok, _ = linearly_independent(pencil_at_k(sc, m, p, kbar))
+            assert _proved_independent(sc, m, p, kbar) == ok, (sc.names, m, p, kbar)
+
+
+def _level3_tries():
+    rng = random.Random(0)
+    return list(_structured_candidates(2, 3)) + [_random_k(rng, 2, 3) for _ in range(50)]
+
+
+def test_evaluation_never_proves_a_degenerate_level():
+    # example_5_6's level 3 is identically zero for two vectors, and the
+    # product's level 3 has the uniform kernel (1, 0)
+    for sc in (catalog.example_5_6(), _uniform_kernel_case()[0]):
+        assert not any(_proved_independent(sc, 2, 3, k) for k in _level3_tries())
+
+
+def test_tampered_witness_fails_verify_through_the_polynomial_rank(monkeypatch):
+    sc = catalog.example_3_2()
+    cert = certify_greatness(sc, 2)
+    lvl = cert.level(2)
+    k0, k1, k2 = lvl.witness
+    calls = []
+    at_k = pencil.pencil_at_k
+    monkeypatch.setattr(pencil, "pencil_at_k", lambda *a: calls.append(a[3]) or at_k(*a))
+    for bad in (((0, 0), k1, k2), (k0, k0, k2)):
+        object.__setattr__(lvl, "witness", bad)
+        assert not cert.verify(sc)
+    # level 1 is proved by evaluation, each bad level-2 row by the fallback
+    assert calls == [((0, 0), k1, k2), (k0, k0, k2)]
+
+
+def test_fraction_witness_is_decided_by_the_polynomial_rank():
+    sc = catalog.heisenberg()
+
+    def cert(witness):
+        level = LevelCertificate(p=1, status="witness", witness=witness)
+        return GreatnessCertificate(m=2, step=2, levels=(level,))
+
+    half = ((F(1, 2), 0), (0, F(3)))
+    assert not _proved_independent(sc, 2, 1, half)
+    assert cert(half).verify(sc)
+    assert not cert(((F(1, 2), 0), (F(3), 0))).verify(sc)
+
+
+def test_evaluation_points_are_fixed_and_cached():
+    pts = _points(2, 3, 4)
+    assert pts is _points(2, 3, 4)
+    assert len(pts) == 4 and all(len(col) == 2 for pt in pts for col in pt)
+    assert all(abs(a) <= POINT_BOUND for pt in pts for col in pt for a in col)
+    _points.cache_clear()
+    assert _points(2, 3, 4) == pts
 
 
 def test_certificate_json_shape():
