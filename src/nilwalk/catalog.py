@@ -238,7 +238,7 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
             for j in range(i + 1, n0):
                 for k in range(j + 1, n0):
                     for z in range(n2):
-                        row = [Fraction(0)] * len(unknowns)
+                        row = [0] * len(unknowns)
                         # [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0,
                         # level-2 part; [Y_y, Xk] = -[Xk, Y_y]
                         for y in range(n1):

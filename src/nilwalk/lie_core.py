@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
+from .linalg import integer_numerators
 
 __all__ = [
     "LieVector",
@@ -157,12 +158,6 @@ class CentralSeries:
     def level_indices(self, p):
         end = self.starts[p + 1] if p + 1 < self.step else sum(self.dims)
         return range(self.starts[p], end)
-
-
-def integer_numerators(coords):
-    """(numerators, d): the Fractions coords written over one common denominator d."""
-    d = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def _bracket_loop(table, dim, xs, ys):

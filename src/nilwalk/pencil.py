@@ -16,9 +16,9 @@ Everything here is exact.  One builder, _nested_level, brackets on the
 algebra's integer table (D times the structure constants), so at integer
 k every coefficient stays a Python int until the level-p block is divided
 by D^p once; when D = 1 no Fraction is built at all.  Rank decisions on
-polynomials come from rational Gaussian elimination on the coefficient
+polynomials come from fraction-free elimination on the coefficient
 matrix over the monomial basis, and a dependence is always returned with
-its kernel certificate.
+its rational kernel certificate.
 
 A witness try needs only a yes, and integer evaluation proves one
 without building a polynomial: if the n_p x n_p integer matrix of the
@@ -454,12 +454,12 @@ def _proved_independent(sc: StructureConstants, m: int, p: int, kbar):
 
 def coefficient_rows(polys):
     """The distinct monomials of polys in descending graded-lex order, and
-    for each polynomial its row of Fraction coefficients over them."""
+    for each polynomial its row of exact coefficients over them."""
     monos = sorted({m for p in polys for m in p.terms}, key=_mono_key, reverse=True)
     col = {m: i for i, m in enumerate(monos)}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(monos)
+        row = [0] * len(monos)
         for m, c in p.terms.items():
             row[col[m]] = c
         rows.append(row)
@@ -477,9 +477,7 @@ def linearly_independent(polys):
     if not polys:
         raise ValueError("empty polynomial list")
     lam = linalg.left_kernel_vector(coefficient_rows(polys)[1])
-    if lam is None:
-        return True, None
-    return False, lam
+    return lam is None, lam
 
 
 # -- certification ------------------------------------------------------------
@@ -637,6 +635,7 @@ def certify_greatness(
     either every pencil coordinate is the zero polynomial, or a single
     rational kernel annihilates the whole symbolic pencil (hence every
     integer evaluation).  Otherwise the level is reported undetermined.
+    Budget 0 tries nothing and decides every level symbolically.
 
     A level settles before its budget runs out when every structured
     candidate gives the all-zero pencil: a nonzero pencil of degree D
@@ -652,6 +651,8 @@ def certify_greatness(
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     rng = random.Random(seed)
     levels = []
     for p in range(1, sc.step):

@@ -96,6 +96,8 @@ def clt_experiment(
     converges to the same limit when the walk equidistributes.  As in
     correlation_sweep, paths run on the quotient the character reads.
     """
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     if trials < 100:
         raise ValueError("too few trials for a distributional test")
     sim, (sim_char,) = simulated_walk(config, [char])

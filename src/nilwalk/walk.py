@@ -244,6 +244,8 @@ def support_level(sc: StructureConstants, characters) -> int:
 
 def abelianized_lambda_box(sc: StructureConstants, radius: int):
     """All nonzero integer frequencies on the top block with sup norm <= radius."""
+    if radius < 1:
+        raise ValueError(f"radius must be at least 1, got {radius}")
     n0 = sc.series.dims[0]
     rest = sc.dim - n0
     out = []
@@ -357,6 +359,8 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
     stderr is the root mean square error of the complex mean (characters
     are unit modulus, so the population second moment is exactly 1).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     chars = list(characters)
     sim, sim_chars = simulated_walk(config, chars)
     checkpoints = sorted(set(int(n) for n in checkpoints))

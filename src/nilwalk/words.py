@@ -390,6 +390,8 @@ def nice_pair_search(
     """
     if not (1 <= p < sc.step):
         raise ValueError(f"level must be in 1..{sc.step - 1}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     q_sc, gens = _in_quotient(sc, p, generators)
     m = len(gens)
     n_p = sc.dims[p]

@@ -246,6 +246,23 @@ def test_clt_gate(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["correlate", "--preset", "circle-golden", "--character", "1", "--times", "2", "--samples", "0"], "samples"),
+        (["correlate", "--preset", "circle-golden", "--character", "1", "--times", "2", "--samples", "-3"], "samples"),
+        (["clt", "--preset", "circle-quarters", "--character", "1", "-N", "0", "--trials", "200"], "N"),
+        (["clt", "--preset", "circle-quarters", "--character", "1", "-N", "-2", "--trials", "200"], "N"),
+        (["gap", "--preset", "golden-heisenberg", "--radius", "0"], "radius"),
+        (["certify", "heisenberg", "-m", "2", "--budget", "-1"], "budget"),
+        (["words", "heisenberg", "-p", "1", "--budget", "0"], "budget"),
+    ],
+)
+def test_bad_sizes_and_budgets_are_usage_errors(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and f"error: {name} must be at least" in err
+
+
 def test_clt_too_few_trials_is_usage_error(capsys):
     code, _, err = run(
         capsys, "clt", "--preset", "circle-quarters", "--character", "1",

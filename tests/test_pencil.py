@@ -217,6 +217,16 @@ def test_certify_great_small():
         assert cert.verify(sc)
 
 
+def test_certify_budget_is_checked():
+    sc = catalog.heisenberg()
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        certify_greatness(sc, 2, budget=-1)
+    # budget 0 tries nothing and decides every level symbolically only
+    cert = certify_greatness(catalog.example_5_6(), 2, budget=0)
+    assert [lvl.tried for lvl in cert.levels] == [0, 0, 0]
+    assert cert.level(3).proof == "identically_zero"
+
+
 def test_certify_degenerate_step4():
     sc = catalog.example_5_6()
     cert = certify_greatness(sc, 2, budget=40, seed=0)

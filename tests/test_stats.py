@@ -89,6 +89,12 @@ def test_clt_rejects_resonance_and_small_samples():
         clt_experiment(quarters_config(), Character((1,)), N=16, trials=50, seed=1)
 
 
+@pytest.mark.parametrize("N", [0, -2])
+def test_clt_needs_positive_walk_length(N):
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        clt_experiment(quarters_config(), Character((1,)), N=N, trials=200, seed=1)
+
+
 def test_clt_deterministic(monkeypatch):
     cfg = quarters_config()
     a = clt_experiment(cfg, Character((1,)), N=64, trials=300, seed=9)

@@ -270,6 +270,24 @@ def test_correlation_needs_positive_times():
         correlation_sweep(cfg, [Character((1,))], [0, 4], samples=100, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_correlation_needs_positive_samples(samples):
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        correlation_sweep(cfg, [Character((1,))], [4], samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("radius", [0, -1])
+def test_frequency_box_needs_positive_radius(radius):
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        abelianized_lambda_box(cfg.sc, radius)
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        gap_profile(cfg, radius)
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        tame_decay_fit(cfg, r=2.0, radius=radius, times=[2, 4, 8], grid=64)
+
+
 # -- operator decay ---------------------------------------------------------------
 
 

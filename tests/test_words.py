@@ -356,6 +356,14 @@ def test_nice_pair_search_level_bounds():
         nice_pair_search(sc, gens, p=2)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_nice_pair_search_needs_a_budget(budget):
+    sc = catalog.heisenberg()
+    gens = [LieVector.basis(3, 0), LieVector.basis(3, 1)]
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        nice_pair_search(sc, gens, p=1, budget=budget)
+
+
 def reference_search(sc, gens, p, tau, q_max, budget):
     """nice_pair_search with every candidate built from scratch by build_lr
     and word_pair_logs, in the same order and with the same best rule."""
