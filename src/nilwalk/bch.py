@@ -11,16 +11,16 @@ The coefficient table is derived here from the combinatorial formula and
 is *validated* by the associativity tests rather than trusted as a
 transcription.
 
-Two evaluators share the word table and the nested-suffix recursion.
-bch_coords is generic over the scalar type, for symbolic callers.
-bch_product is the exact group law: it writes x and y over one common
-denominator d and brackets their integer numerators with the algebra's
-integer table (denominator D), so a length-L word's nested bracket is an
-integer vector over d^L D^(L-1).  With C_L the lcm of the length-L
-coefficients' denominators, the length-L terms are summed as integers and
-divided by C_L d^L D^(L-1) once; one Fraction per output coordinate is
-built at the end.  The truncation of the series at the step is the one of
-Casas & Murua, J. Math. Phys. 50, 033513 (2009).
+One evaluator, _bch_over, runs the series at x = xs / d, y = ys / d on
+the algebra's integer table (denominator D), so a length-L word's nested
+bracket sits over d^L D^(L-1).  With C_L the lcm of the length-L
+coefficients' denominators, each length is summed with integer
+coefficients, and all lengths are brought onto one denominator M.
+bch_product, the exact group law, runs it on the integer numerators of
+two LieVectors and builds no Fraction; bch_coords runs it with d = 1 on
+any scalars (Fractions, or the polynomials of coords' group law) and
+divides by M at the end.  The truncation of the series at the step is the
+one of Casas & Murua, J. Math. Phys. 50, 033513 (2009).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from .lie_core import LieVector, StructureConstants, integer_numerators
+from .lie_core import LieVector, StructureConstants
 
 __all__ = [
     "bch_word_coefficients",
@@ -108,9 +108,11 @@ def _integer_word_coefficients(max_len: int):
     return ints, scale
 
 
-def _nested_brackets(step, bracket, xs, ys):
-    """Yield (word, right-nested bracket of the word at x, y) over the
-    Dynkin table, each suffix bracket computed once."""
+def _bch_over(sc: StructureConstants, xs, ys, d):
+    """(out, M) with log(exp x exp y) = out / M at x = xs / d, y = ys / d,
+    for scalars of any ring type; each suffix bracket is taken once."""
+    D = sc.integer_table[0]
+    coeffs, scale = _integer_word_coefficients(sc.step)
     vecs = (xs, ys)
     suffix_cache = {}
 
@@ -118,49 +120,18 @@ def _nested_brackets(step, bracket, xs, ys):
         if word in suffix_cache:
             return suffix_cache[word]
         if len(word) == 1:
-            v = list(vecs[word[0]])
+            v = vecs[word[0]]
         else:
-            v = bracket(vecs[word[0]], nested(word[1:]))
+            v = sc.integer_bracket(vecs[word[0]], nested(word[1:]))
         suffix_cache[word] = v
         return v
 
-    for word in bch_word_coefficients(step):
-        yield word, nested(word)
-
-
-def bch_coords(sc: StructureConstants, xs, ys):
-    """Dynkin series on raw coordinate sequences (generic scalars)."""
-    step = sc.step
-    out = [a + b for a, b in zip(xs, ys)]
-    if step < 2:
-        return out
-    table = bch_word_coefficients(step)
-    for word, v in _nested_brackets(step, sc.bracket_coords, xs, ys):
-        c = table[word]
-        for k in range(sc.dim):
-            if v[k]:
-                out[k] = out[k] + c * v[k]
-    return out
-
-
-def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector:
-    """log(exp x * exp y), exact, on integer numerators."""
-    if x.dim != sc.dim or y.dim != sc.dim:
-        raise ValueError("dimension mismatch in BCH product")
-    step = sc.step
-    if step < 2:
-        return x + y
-    nums, d = integer_numerators(x.coords + y.coords)
-    xs, ys = nums[: sc.dim], nums[sc.dim :]
-    D = sc.integer_table[0]
-    coeffs, scale = _integer_word_coefficients(step)
     sums = {L: [0] * sc.dim for L in scale}
-    for word, v in _nested_brackets(step, sc.integer_bracket, xs, ys):
-        e, acc = coeffs[word], sums[len(word)]
-        for k, a in enumerate(v):
+    for word, e in coeffs.items():
+        acc = sums[len(word)]
+        for k, a in enumerate(nested(word)):
             if a:
                 acc[k] += e * a
-    # length-L terms sit over C_L d^L D^(L-1); bring all onto their lcm M
     dens = {L: C * d**L * D ** (L - 1) for L, C in scale.items()}
     M = lcm(d, *dens.values())
     out = [(a + b) * (M // d) for a, b in zip(xs, ys)]
@@ -169,7 +140,24 @@ def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector
         for k, a in enumerate(acc):
             if a:
                 out[k] += a * f
-    return LieVector(Fraction(n, M) for n in out)
+    return out, M
+
+
+def bch_coords(sc: StructureConstants, xs, ys):
+    """Dynkin series on raw coordinate sequences (generic scalars)."""
+    out, M = _bch_over(sc, xs, ys, 1)
+    s = Fraction(1, M)
+    return out if M == 1 else [s * a for a in out]
+
+
+def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector:
+    """log(exp x * exp y), exact, on integer numerators."""
+    if x.dim != sc.dim or y.dim != sc.dim:
+        raise ValueError("dimension mismatch in BCH product")
+    d = lcm(x.den, y.den)
+    xs = [a * (d // x.den) for a in x.nums]
+    ys = [b * (d // y.den) for b in y.nums]
+    return LieVector._of(*_bch_over(sc, xs, ys, d))
 
 
 @dataclass(frozen=True)

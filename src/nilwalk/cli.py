@@ -47,9 +47,12 @@ def parse_scalar(tok: str) -> Fraction:
     if tok in _SPECIAL_SCALARS:
         return Fraction(_SPECIAL_SCALARS[tok])
     try:
-        return Fraction(tok)
-    except ValueError:
-        return Fraction(float(tok))
+        try:
+            return Fraction(tok)
+        except ValueError:
+            return Fraction(float(tok))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite rational: {tok!r}") from None
 
 
 def parse_algebra(ref: str):
@@ -157,7 +160,10 @@ def resolve_config(args):
     if not gens:
         raise ValueError("at least one --generator is required")
     if args.probs:
-        probs = [Fraction(t) for t in args.probs.split(",")]
+        try:
+            probs = [Fraction(t) for t in args.probs.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in --probs {args.probs!r}") from None
     else:
         probs = [Fraction(1, len(gens))] * len(gens)
     return walk_config(sc, gens, probs)

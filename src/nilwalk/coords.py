@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .bch import bch_coords
+from .bch import bch_coords, bch_product
 from .lie_core import LieVector, StructureConstants
 from .pencil import PolyRing, coefficient_rows
 
@@ -187,12 +187,11 @@ class SecondKindSystem:
 
     def translation_map(self, a: LieVector) -> CompiledMap:
         """t -> coordinates of exp(a) g(t), as a compiled polynomial map."""
-        key = tuple(a.coords)
-        hit = self._tmap_cache.get(key)
+        hit = self._tmap_cache.get(a)
         if hit is None:
             fixed = {f"t{i}": v for i, v in enumerate(self.sk_from_log(a))}
             hit = self._restricted_law(fixed, [f"s{i}" for i in range(self.dim)])
-            self._tmap_cache[key] = hit
+            self._tmap_cache[a] = hit
         return hit
 
     def reduction_map(self, level: int) -> CompiledMap:
@@ -251,8 +250,8 @@ class SecondKindSystem:
             for j, i in enumerate(idx):
                 s[i] = shift[j]
             phi = self.log_from_sk(s)
-            x = LieVector(bch_coords(self.sc, x.coords, phi.coords))
-            glog = LieVector(bch_coords(self.sc, glog.coords, phi.coords))
+            x = bch_product(self.sc, x, phi)
+            glog = bch_product(self.sc, glog, phi)
         red = self.sk_from_log(x)
         if not all(0 <= v < 1 for v in red):
             raise AssertionError(f"reduction left the unit box: {red}")

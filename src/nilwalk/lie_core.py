@@ -2,14 +2,15 @@
 
 A StructureConstants object stores the bracket table of a finite
 dimensional Lie algebra over Q in a fixed basis.  All arithmetic in this
-module is exact (fractions.Fraction, and integer numerators over a common
-denominator in the exact bracket); nothing here touches floating point.
-The Jacobi check and the lower central series run their brackets on that
-integer table.  The basis is required to be adapted to the lower central
+module is exact; nothing here touches floating point.  A LieVector is
+stored as integer numerators over one denominator, and the exact
+bracket, the Jacobi check and the lower central series run on the
+integer form of the table (integer_table), so none of them builds a
+Fraction.  The basis is required to be adapted to the lower central
 series: writing g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be
 spanned by a trailing block of basis vectors.  Adaptedness is *verified*,
-never repaired: it is read off the pivots of each g^(j)'s rref, and a
-basis that does not have this shape raises NotAdaptedError.
+never repaired: it is read off the pivots of each g^(j)'s echelon form,
+and a basis that does not have this shape raises NotAdaptedError.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .linalg import integer_numerators
 
 __all__ = [
     "LieVector",
@@ -65,52 +65,64 @@ def _frac(x):
 
 
 class LieVector:
-    """Vector of exact rational coordinates in the fixed basis."""
+    """Vector of exact rational coordinates in the fixed basis, stored as
+    integer numerators nums over one denominator den > 0 in lowest terms.
+    coords, iteration and indexing give Fractions."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords):
-        self.coords = tuple(_frac(c) for c in coords)
+        nums, self.den = linalg.integer_numerators([_frac(c) for c in coords])
+        self.nums = tuple(nums)
+
+    @classmethod
+    def _of(cls, nums, den):
+        """The vector nums / den for integers nums and den > 0, reduced."""
+        g = gcd(den, *nums)
+        v = cls.__new__(cls)
+        v.nums = tuple(n // g for n in nums)
+        v.den = den // g
+        return v
 
     @classmethod
     def zero(cls, dim):
-        return cls([Fraction(0)] * dim)
+        return cls._of([0] * dim, 1)
 
     @classmethod
     def basis(cls, dim, i):
-        c = [Fraction(0)] * dim
-        c[i] = Fraction(1)
-        return cls(c)
+        return cls._of([int(j == i) for j in range(dim)], 1)
+
+    @property
+    def coords(self):
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def dim(self):
-        return len(self.coords)
-
-    def is_zero(self):
-        return not any(self.coords)
+        return len(self.nums)
 
     def __add__(self, other):
         self._check(other)
-        return LieVector(a + b for a, b in zip(self.coords, other.coords))
+        d = lcm(self.den, other.den)
+        f, g = d // self.den, d // other.den
+        return LieVector._of([a * f + b * g for a, b in zip(self.nums, other.nums)], d)
 
     def __sub__(self, other):
-        self._check(other)
-        return LieVector(a - b for a, b in zip(self.coords, other.coords))
+        return self + -other
 
     def __neg__(self):
-        return LieVector(-a for a in self.coords)
+        return LieVector._of([-a for a in self.nums], self.den)
 
     def __mul__(self, scalar):
         s = _frac(scalar)
-        return LieVector(s * a for a in self.coords)
+        return LieVector._of([s.numerator * a for a in self.nums], s.denominator * self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, LieVector) and self.coords == other.coords
+        return isinstance(other, LieVector) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __iter__(self):
         return iter(self.coords)
@@ -247,10 +259,8 @@ class StructureConstants:
         """Exact bracket, run on the integer numerators of x and y."""
         if x.dim != self.dim or y.dim != self.dim:
             raise ValueError("dimension mismatch in bracket")
-        xs, dx = integer_numerators(x.coords)
-        ys, dy = integer_numerators(y.coords)
-        den = self.integer_table[0] * dx * dy
-        return LieVector(Fraction(n, den) for n in self.integer_bracket(xs, ys))
+        den = self.integer_table[0] * x.den * y.den
+        return LieVector._of(self.integer_bracket(x.nums, y.nums), den)
 
     # -- derived structure ------------------------------------------------
 
@@ -296,8 +306,8 @@ def check_jacobi(sc: StructureConstants) -> JacobiReport:
                 terms = br(pair[i][j], unit[k]), br(pair[j][k], unit[i]), br(pair[k][i], unit[j])
                 r = [sum(t) for t in zip(*terms)]
                 if any(r):
-                    d2 = sc.integer_table[0] ** 2
-                    return JacobiReport(False, (i, j, k), LieVector(Fraction(x, d2) for x in r))
+                    residual = LieVector._of(r, sc.integer_table[0] ** 2)
+                    return JacobiReport(False, (i, j, k), residual)
     return JacobiReport(True)
 
 
@@ -307,27 +317,27 @@ def lower_central_series(sc: StructureConstants) -> CentralSeries:
     Raises NotNilpotentError if the series stabilizes at nonzero
     dimension, NotAdaptedError if some g^(j) is not a trailing
     coordinate subspace.  Nilpotency is decided first, over the whole
-    series.  The rref of a d-dimensional g^(j) is the unit rows
+    series.  Each g^(j) is held as integer echelon rows, each divided by
+    the gcd of its entries; a d-dimensional g^(j) is spanned by
     e_(n-d), ..., e_(n-1) exactly when its pivots are n-d, ..., n-1.
     """
     n = sc.dim
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     current, pivot_lists = unit, []
     while True:
-        # brackets run on integer numerators: a row's multiple spans the same line
-        nxt = []
-        for v in current:
-            xs = integer_numerators(v)[0]
-            nxt += [w for e in unit if any(w := sc.integer_bracket(xs, e))]
-        echelon, pivots = linalg.rref(nxt)
-        if len(echelon) == len(current):
+        nxt = [w for v in current for e in unit if any(w := sc.integer_bracket(v, e))]
+        pivots = linalg.eliminate(nxt, n)
+        if len(pivots) == len(current):
             raise NotNilpotentError(
-                f"series stabilized at dimension {len(echelon)}"
+                f"series stabilized at dimension {len(pivots)}"
             )
-        if not echelon:
+        if not pivots:
             break
         pivot_lists.append(pivots)
-        current = echelon
+        current = []
+        for row in nxt[: len(pivots)]:
+            g = gcd(*row)
+            current.append([x // g for x in row])
 
     starts = [0]
     for j, pivots in enumerate(pivot_lists, 1):
@@ -349,8 +359,7 @@ def project(sc: StructureConstants, x: LieVector, p: int):
     ser = sc.series
     if not (0 <= p < ser.step):
         raise ValueError(f"level {p} out of range for step {ser.step}")
-    idx = ser.level_indices(p)
-    return tuple(x.coords[i] for i in idx)
+    return tuple(Fraction(x.nums[i], x.den) for i in ser.level_indices(p))
 
 
 def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
@@ -454,12 +463,25 @@ def algebra_to_json(sc: StructureConstants) -> dict:
     }
 
 
+def _json_int(value, field):
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def algebra_from_json(data: dict) -> StructureConstants:
-    dim = data["dim"]
+    if not isinstance(data, dict):
+        raise ValueError(f"an algebra must be a JSON object, got {type(data).__name__}")
+    dim = _json_int(data["dim"], "dim")
     brackets = {}
     for ent in data.get("brackets", []):
-        i, j = ent["i"] - 1, ent["j"] - 1
-        out = {o["k"] - 1: Fraction(o["num"], o.get("den", 1)) for o in ent["out"]}
+        i, j = _json_int(ent["i"], "i") - 1, _json_int(ent["j"], "j") - 1
+        out = {}
+        for o in ent["out"]:
+            num, den = _json_int(o["num"], "num"), _json_int(o.get("den", 1), "den")
+            if not den:
+                raise ValueError(f"den must be nonzero in bracket ({i + 1}, {j + 1})")
+            out[_json_int(o["k"], "k") - 1] = Fraction(num, den)
         if (i, j) in brackets:
             raise ValueError(f"duplicate bracket entry for ({i + 1}, {j + 1})")
         brackets[(i, j)] = out

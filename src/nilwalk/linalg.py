@@ -1,7 +1,7 @@
 """Exact linear algebra for small dense systems.
 
 One fraction-free forward elimination on integer rows (Bareiss 1968),
-_eliminate, serves every routine.  A row that holds Fractions is first
+eliminate, serves every routine.  A row that holds Fractions is first
 multiplied by the lcm of its denominators, which keeps its span.
 Fractions appear only in what the routines return: rref rows, left-kernel
 certificates and null-space bases.
@@ -19,7 +19,7 @@ def integer_numerators(coords):
     return [c.numerator * (d // c.denominator) for c in coords], d
 
 
-def _eliminate(m, ncols):
+def eliminate(m, ncols):
     """Fraction-free forward elimination of the integer rows m, in place.
 
     Each update a*x - b*y of a row is divided by the previous pivot; the
@@ -62,7 +62,7 @@ def rref(rows):
     then back-substitution clears the columns above the pivots.
     """
     m = [integer_numerators(row)[0] for row in rows]
-    pivots = _eliminate(m, len(m[0]) if m else 0)
+    pivots = eliminate(m, len(m[0]) if m else 0)
     m = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     for r in reversed(range(len(pivots))):
         c = pivots[r]
@@ -86,7 +86,7 @@ def left_kernel_vector(rows):
     n, ncols = len(rows), (len(rows[0]) if rows else 0)
     scaled = [integer_numerators(row) for row in rows]
     m = [xs + [int(i == j) for j in range(n)] for i, (xs, _) in enumerate(scaled)]
-    r = len(_eliminate(m, ncols))
+    r = len(eliminate(m, ncols))
     if r == n:
         return None
     used = {k for row in m[:r] for k, x in enumerate(row[ncols:]) if x}
@@ -101,7 +101,7 @@ def independent_rows(rows):
     The elimination on the rows as given: no denominator scan and no
     tracking, for the witness proofs that call it on every try.
     """
-    return len(_eliminate(list(rows), len(rows[0]) if rows else 0)) == len(rows)
+    return len(eliminate(list(rows), len(rows[0]) if rows else 0)) == len(rows)
 
 
 def nullspace(rows):

@@ -18,6 +18,7 @@ from nilwalk.bch import (
     word_eval,
 )
 from nilwalk.lie_core import LieVector, rescale_levels
+from nilwalk.pencil import PolyRing
 
 F = Fraction
 X, Y = 0, 1
@@ -52,16 +53,54 @@ def test_denominator_algebras_have_denominators():
     assert [sc.integer_table[0] for sc in DENOMINATOR_ALGEBRAS] == [2, 60]
 
 
+def dynkin_reference(sc, xs, ys):
+    """The Dynkin sum term by term: each word's rational coefficient times
+    its right-nested bracket taken with the generic sc.bracket_coords.
+    Independent of the integer core that bch_product and bch_coords share."""
+    out = [a + b for a, b in zip(xs, ys)]
+    vecs = (xs, ys)
+    for word, c in bch_word_coefficients(sc.step).items():
+        v = vecs[word[-1]]
+        for letter in reversed(word[:-1]):
+            v = sc.bracket_coords(vecs[letter], v)
+        for k in range(sc.dim):
+            if v[k]:
+                out[k] = out[k] + c * v[k]
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_integer_kernels_match_generic(data):
-    """The integer bracket and BCH product equal the generic Fraction
-    evaluation of the same formulas, exactly."""
+    """The integer bracket, bch_product and bch_coords on Fractions equal
+    the generic Fraction evaluation of the same formulas, exactly."""
     sc = data.draw(st.sampled_from(ALGEBRAS))
     x = data.draw(mixed_vec(sc.dim))
     y = data.draw(mixed_vec(sc.dim))
+    reference = dynkin_reference(sc, x.coords, y.coords)
     assert sc.bracket(x, y) == LieVector(sc.bracket_coords(x.coords, y.coords))
-    assert bch_product(sc, x, y) == LieVector(bch_coords(sc, x.coords, y.coords))
+    assert bch_product(sc, x, y) == LieVector(reference)
+    assert bch_coords(sc, x.coords, y.coords) == reference
+
+
+@pytest.mark.parametrize("sc", DENOMINATOR_ALGEBRAS, ids=["D=2", "D=60"])
+def test_denominator_algebras_match_reference(sc):
+    x = LieVector([F(i - 2, 3 + i) for i in range(sc.dim)])
+    y = LieVector([F(5 - 2 * i, 4) for i in range(sc.dim)])
+    reference = dynkin_reference(sc, x.coords, y.coords)
+    assert bch_product(sc, x, y) == LieVector(reference)
+    assert bch_coords(sc, x.coords, y.coords) == reference
+
+
+def test_bch_coords_on_polynomials_matches_reference():
+    sc = DENOMINATOR_ALGEBRAS[1]
+    n = sc.dim
+    ring = PolyRing([f"t{i}" for i in range(n)] + [f"s{i}" for i in range(n)])
+    xs = [ring.var(f"t{i}") + F(1, i + 2) for i in range(n)]
+    ys = [F(i + 1, 7) * ring.var(f"s{i}") for i in range(n)]
+    got = bch_coords(sc, xs, ys)
+    assert got == dynkin_reference(sc, xs, ys)
+    assert any(len(p.terms) > 2 for p in got)
 
 
 def test_low_order_coefficients():

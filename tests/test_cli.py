@@ -298,3 +298,30 @@ def test_unknown_algebra_is_usage_error(capsys):
 def test_missing_config_is_usage_error(capsys):
     code, _, err = run(capsys, "gap", "--radius", "2")
     assert code == 2 and "preset" in err
+
+
+def _heisenberg_json(dim=3, **out):
+    entry = {"k": 3, "num": 1, "den": 1, **out}
+    return {"dim": dim, "brackets": [{"i": 1, "j": 2, "out": [entry]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (_heisenberg_json(den=0), ["check"]),
+        (_heisenberg_json(num=1.5), ["check"]),
+        (_heisenberg_json(dim="3"), ["check"]),
+        ([_heisenberg_json()], ["check"]),
+        (None, ["gap", "--algebra", "heisenberg", "--generator", "1/0,0,0"]),
+        (None, ["gap", "--algebra", "heisenberg", "--generator", "1,0,0", "--probs", "1/0"]),
+        (None, ["gap", "--algebra", "heisenberg", "--generator", "inf,0,0"]),
+    ],
+    ids=["den-0", "num-float", "dim-string", "list", "generator-1/0", "probs-1/0", "generator-inf"],
+)
+def test_malformed_exact_input_is_usage_error(capsys, tmp_path, doc, argv):
+    if doc is not None:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")

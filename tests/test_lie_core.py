@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk import catalog
+from nilwalk import bch, catalog, lie_core, linalg
+from nilwalk.bch import bch_product
 from nilwalk.lie_core import (
     LieVector,
     NotAdaptedError,
@@ -42,6 +44,59 @@ def test_vector_arithmetic():
     assert (F(2) * x).coords == (F(2), F(4), F(0))
     assert LieVector.basis(3, 1).coords == (F(0), F(1), F(0))
     assert not any(LieVector.zero(3))
+
+
+def _assert_lowest_terms_and_equal(vectors):
+    first = vectors[0]
+    for v in vectors:
+        assert v.den > 0 and gcd(v.den, *v.nums) == 1
+        assert v == first
+        assert (v.nums, v.den, hash(v)) == (first.nums, first.den, hash(first))
+
+
+def test_vectors_are_stored_in_lowest_terms():
+    sc = catalog.example_3_2()
+    x = LieVector([F(1, 2), F(-3, 4), F(2), F(0), F(5, 6)])
+    y = LieVector([F(2, 3), F(1), F(-1, 6), F(1, 2), F(0)])
+    br = sc.bracket(x, y)
+    _assert_lowest_terms_and_equal(
+        [br, LieVector(br.coords), -sc.bracket(y, x), F(1, 2) * sc.bracket(F(2) * x, y)]
+    )
+    prod = bch_product(sc, x, y)
+    _assert_lowest_terms_and_equal(
+        [prod, LieVector(prod.coords), bch_product(sc, prod, LieVector.zero(5)), prod + y - y]
+    )
+    _assert_lowest_terms_and_equal([x, x + y - y, LieVector([str(c) for c in x.coords])])
+    assert LieVector.zero(4).den == 1 and (x - x).den == 1
+    assert (x - x) == LieVector.zero(5)
+
+
+def test_vector_scalars_are_exact():
+    x = LieVector([F(3), 1, "2/4"])
+    for coords in (x.coords, list(x), [x[i] for i in range(x.dim)]):
+        assert tuple(coords) == (F(3), F(1), F(1, 2))
+        assert all(type(c) is Fraction for c in coords)
+    with pytest.raises(TypeError):
+        LieVector([0.5, F(1), F(0)])
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+def _refuse(*args):
+    raise AssertionError("Fraction built")
+
+
+def test_exact_kernels_build_no_fraction(monkeypatch):
+    sc = rescale_levels(catalog.filiform(5), [1, F(2, 3), F(5, 2), 3])
+    x = LieVector([F(1, 2), F(-3), F(2, 5), F(0), F(7, 4)])
+    y = LieVector([F(1, 3), F(1), F(-1, 6), F(3, 2), F(2)])
+    expected = sc.bracket(x, y), bch_product(sc, x, y)
+    monkeypatch.setattr(lie_core, "Fraction", _refuse)
+    monkeypatch.setattr(bch, "Fraction", _refuse)
+    assert (sc.bracket(x, y), bch_product(sc, x, y)) == expected
+    # the patch is live: coords are built as Fractions
+    with pytest.raises(AssertionError):
+        x.coords
 
 
 # -- structure constant bookkeeping ------------------------------------------
@@ -94,6 +149,17 @@ def test_jacobi_clean_on_catalog():
 
 
 # -- lower central series ------------------------------------------------------
+
+
+def test_series_builds_no_fraction(monkeypatch):
+    algebras = [catalog.example_5_6(), catalog.random_step3(3, 2, 2, seed=1)]
+    expected = [lower_central_series(sc) for sc in algebras]
+    monkeypatch.setattr(lie_core, "Fraction", _refuse)
+    monkeypatch.setattr(linalg, "Fraction", _refuse)
+    assert [lower_central_series(sc) for sc in algebras] == expected
+    # the patch is live: rref returns Fractions
+    with pytest.raises(AssertionError):
+        linalg.rref([[2, 1]])
 
 
 def test_series_shapes():
