@@ -11,16 +11,22 @@ The coefficient table is derived here from the combinatorial formula and
 is *validated* by the associativity tests rather than trusted as a
 transcription.
 
-One evaluator, _bch_over, runs the series at x = xs / d, y = ys / d on
-the algebra's integer table (denominator D), so a length-L word's nested
-bracket sits over d^L D^(L-1).  With C_L the lcm of the length-L
-coefficients' denominators, each length is summed with integer
-coefficients, and all lengths are brought onto one denominator M.
-bch_product, the exact group law, runs it on the integer numerators of
-two LieVectors and builds no Fraction; bch_coords runs it with d = 1 on
-any scalars (Fractions, or the polynomials of coords' group law) and
-divides by M at the end.  The truncation of the series at the step is the
-one of Casas & Murua, J. Math. Phys. 50, 033513 (2009).
+One evaluator, _bch_over, runs the series on the algebra's integer
+table (denominator D), where a length-L word's nested bracket, taken at
+x = xs / d, y = ys / d, sits over d^L D^(L-1), and each word carries the
+integer C_L c_w, C_L the lcm of the length-L coefficients' denominators.
+The series is compiled once per step into a plan: a flat list of the
+suffix brackets the words need, shortest first, and one term per word.
+The evaluator walks the plan once, takes no bracket on an all-zero
+suffix (so no longer word on it is built) and adds each word's term
+straight into the result with one weight per length.  bch_product, the
+exact group law, runs it on the integer numerators of two LieVectors
+with integer weights that put every length over one denominator M, and
+builds no Fraction; a zero argument returns the other one unchanged.
+bch_coords runs it on any scalars (Fractions, or the polynomials of
+coords' group law) with the Fraction weights 1 / (C_L D^(L-1)), so
+nothing is scaled up to M and back.  The truncation of the series at the
+step is the one of Casas & Murua, J. Math. Phys. 50, 033513 (2009).
 """
 
 from __future__ import annotations
@@ -77,14 +83,15 @@ def _block_coefficient(word):
 
 @lru_cache(maxsize=None)
 def bch_word_coefficients(max_len: int):
-    """{word: coefficient} for words of length 2..max_len.
+    """{word: coefficient} for words of length 2..max_len, the step of
+    the algebra the series runs on.
 
     Words ending in a doubled letter are dropped (their right-nested
     bracket starts with [l, l] = 0), as are words whose coefficient
     vanishes.
     """
     if max_len > MAX_STEP:
-        raise ValueError(f"series table only built up to depth {MAX_STEP}")
+        raise ValueError(f"BCH series built up to step {MAX_STEP}; this algebra has step {max_len}")
     table = {}
     for L in range(2, max_len + 1):
         for word in product((0, 1), repeat=L):
@@ -97,67 +104,97 @@ def bch_word_coefficients(max_len: int):
 
 
 @lru_cache(maxsize=None)
-def _integer_word_coefficients(max_len: int):
-    """({word: C_L * c_w}, {L: C_L}) with C_L the lcm of the denominators
-    of the length-L coefficients, so every scaled coefficient is an integer."""
-    table = bch_word_coefficients(max_len)
+def _series_plan(step: int):
+    """(brackets, terms, scale): the Dynkin series through words of length
+    step, compiled once per step.
+
+    scale is {L: C_L}, C_L the lcm of the denominators of the length-L
+    coefficients, so that every C_L * c_w is an integer.  Slots 0 and 1
+    hold x and y.  brackets lists (letter, tail) for every suffix of
+    length >= 2 that a coefficient word needs, shortest first; the suffix
+    of brackets[i] goes to slot i + 2 and is [slot letter, slot tail].
+    terms lists (slot, L, C_L * c_w) for each word w, of length L.
+    """
+    table = bch_word_coefficients(step)
     scale = {}
     for word, c in table.items():
         scale[len(word)] = lcm(scale.get(len(word), 1), c.denominator)
-    ints = {w: c.numerator * (scale[len(w)] // c.denominator) for w, c in table.items()}
-    return ints, scale
+    suffixes = {w[i:] for w in table for i in range(len(w) - 1)}
+    slots = {(0,): 0, (1,): 1}
+    brackets = []
+    for word in sorted(suffixes, key=lambda w: (len(w), w)):
+        slots[word] = len(slots)
+        brackets.append((word[0], slots[word[1:]]))
+    terms = [
+        (slots[w], len(w), c.numerator * (scale[len(w)] // c.denominator))
+        for w, c in table.items()
+    ]
+    return brackets, terms, scale
 
 
-def _bch_over(sc: StructureConstants, xs, ys, d):
-    """(out, M) with log(exp x exp y) = out / M at x = xs / d, y = ys / d,
-    for scalars of any ring type; each suffix bracket is taken once."""
-    D = sc.integer_table[0]
-    coeffs, scale = _integer_word_coefficients(sc.step)
-    vecs = (xs, ys)
-    suffix_cache = {}
-
-    def nested(word):
-        if word in suffix_cache:
-            return suffix_cache[word]
-        if len(word) == 1:
-            v = vecs[word[0]]
-        else:
-            v = sc.integer_bracket(vecs[word[0]], nested(word[1:]))
-        suffix_cache[word] = v
-        return v
-
-    sums = {L: [0] * sc.dim for L in scale}
-    for word, e in coeffs.items():
-        acc = sums[len(word)]
-        for k, a in enumerate(nested(word)):
-            if a:
-                acc[k] += e * a
-    dens = {L: C * d**L * D ** (L - 1) for L, C in scale.items()}
+@lru_cache(maxsize=1024)
+def _integer_weights(step: int, D: int, d: int):
+    """(M, {L: M // (C_L d^L D^(L-1))}): a length-L term of the series at
+    x = xs / d, y = ys / d, on integer-table brackets, sits over
+    C_L d^L D^(L-1), and M is the lcm of those and d."""
+    dens = {L: C * d**L * D ** (L - 1) for L, C in _series_plan(step)[2].items()}
     M = lcm(d, *dens.values())
-    out = [(a + b) * (M // d) for a, b in zip(xs, ys)]
-    for L, acc in sums.items():
-        f = M // dens[L]
-        for k, a in enumerate(acc):
+    return M, {L: M // q for L, q in dens.items()}
+
+
+def _bch_over(sc: StructureConstants, xs, ys, base, weights):
+    """base * (xs + ys) + sum over the coefficient words w of
+    weights[|w|] * C_L c_w * N_w, for scalars of any ring type, where
+    N_w is w's right-nested bracket taken with sc.integer_bracket.
+
+    The plan is walked once.  A suffix that is all zero is stored as None
+    and no bracket is taken on it, so every longer word on that suffix is
+    skipped too.
+    """
+    brackets, terms, _ = _series_plan(sc.step)
+    br = sc.integer_bracket
+    vals = [xs if any(xs) else None, ys if any(ys) else None]
+    for letter, tail in brackets:
+        a, b = vals[letter], vals[tail]
+        v = br(a, b) if a is not None and b is not None else None
+        vals.append(v if v is not None and any(v) else None)
+    out = [a + b for a, b in zip(xs, ys)]
+    if base != 1:
+        out = [a * base for a in out]
+    for slot, L, e in terms:
+        v = vals[slot]
+        if v is None:
+            continue
+        w = e * weights[L]
+        for k, a in enumerate(v):
             if a:
-                out[k] += a * f
-    return out, M
+                out[k] += w * a
+    return out
 
 
 def bch_coords(sc: StructureConstants, xs, ys):
-    """Dynkin series on raw coordinate sequences (generic scalars)."""
-    out, M = _bch_over(sc, xs, ys, 1)
-    s = Fraction(1, M)
-    return out if M == 1 else [s * a for a in out]
+    """Dynkin series on raw coordinate sequences (generic scalars); the
+    weights 1 / (C_L D^(L-1)) are Fractions, so nothing is scaled back."""
+    D = sc.integer_table[0]
+    scale = _series_plan(sc.step)[2]
+    return _bch_over(sc, xs, ys, 1, {L: Fraction(1, C * D ** (L - 1)) for L, C in scale.items()})
 
 
 def bch_product(sc: StructureConstants, x: LieVector, y: LieVector) -> LieVector:
-    """log(exp x * exp y), exact, on integer numerators."""
+    """log(exp x * exp y), exact, on integer numerators over the common
+    denominator M of every length; log(exp 0 exp y) = y, so a zero
+    argument returns the other one."""
     if x.dim != sc.dim or y.dim != sc.dim:
         raise ValueError("dimension mismatch in BCH product")
+    if not any(x.nums):
+        return y
+    if not any(y.nums):
+        return x
     d = lcm(x.den, y.den)
     xs = [a * (d // x.den) for a in x.nums]
     ys = [b * (d // y.den) for b in y.nums]
-    return LieVector._of(*_bch_over(sc, xs, ys, d))
+    M, weights = _integer_weights(sc.step, sc.integer_table[0], d)
+    return LieVector._of(_bch_over(sc, xs, ys, M // d, weights), M)
 
 
 @dataclass(frozen=True)

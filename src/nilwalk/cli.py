@@ -563,7 +563,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _input_errors() as e:  # evaluated only once something raised
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes and all
+        msg = e.args[0] if isinstance(e, KeyError) and len(e.args) == 1 else e
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

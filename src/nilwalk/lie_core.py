@@ -311,6 +311,18 @@ def check_jacobi(sc: StructureConstants) -> JacobiReport:
     return JacobiReport(True)
 
 
+def _primitive(row):
+    """The nonzero integer row divided by the gcd of its entries, signed
+    so that its first nonzero entry is positive."""
+    g = gcd(*row)
+    for x in row:
+        if x:
+            break
+    if x < 0:
+        g = -g
+    return tuple([x // g for x in row])
+
+
 def lower_central_series(sc: StructureConstants) -> CentralSeries:
     """Compute g = g^(0) > g^(1) > ... exactly and verify adaptedness.
 
@@ -318,14 +330,19 @@ def lower_central_series(sc: StructureConstants) -> CentralSeries:
     dimension, NotAdaptedError if some g^(j) is not a trailing
     coordinate subspace.  Nilpotency is decided first, over the whole
     series.  Each g^(j) is held as integer echelon rows, each divided by
-    the gcd of its entries; a d-dimensional g^(j) is spanned by
-    e_(n-d), ..., e_(n-1) exactly when its pivots are n-d, ..., n-1.
+    the gcd of its entries; the brackets that span the next one are
+    reduced the same way, signed and deduplicated before elimination.  A
+    d-dimensional g^(j) is spanned by e_(n-d), ..., e_(n-1) exactly when
+    its pivots are n-d, ..., n-1.
     """
     n = sc.dim
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     current, pivot_lists = unit, []
     while True:
-        nxt = [w for v in current for e in unit if any(w := sc.integer_bracket(v, e))]
+        # most brackets [v, e_j] repeat another up to a scalar, and
+        # elimination pays for every row it is handed
+        brackets = (sc.integer_bracket(v, e) for v in current for e in unit)
+        nxt = list(dict.fromkeys(_primitive(w) for w in brackets if any(w)))
         pivots = linalg.eliminate(nxt, n)
         if len(pivots) == len(current):
             raise NotNilpotentError(
@@ -334,10 +351,7 @@ def lower_central_series(sc: StructureConstants) -> CentralSeries:
         if not pivots:
             break
         pivot_lists.append(pivots)
-        current = []
-        for row in nxt[: len(pivots)]:
-            g = gcd(*row)
-            current.append([x // g for x in row])
+        current = [_primitive(row) for row in nxt[: len(pivots)]]
 
     starts = [0]
     for j, pivots in enumerate(pivot_lists, 1):

@@ -92,6 +92,63 @@ def test_denominator_algebras_match_reference(sc):
     assert bch_coords(sc, x.coords, y.coords) == reference
 
 
+# step 6 (the deepest series table), the dim-15 corpus algebra and D = 60
+DEEP_ALGEBRAS = [catalog.filiform(7), catalog.example_5_6(), DENOMINATOR_ALGEBRAS[1]]
+
+
+@pytest.mark.parametrize("sc", DEEP_ALGEBRAS, ids=["filiform(7)", "example_5_6", "D=60"])
+def test_deep_algebras_match_reference(sc):
+    """Pairs whose brackets vanish from some length on (y = x, y central,
+    y deep in the series) run the plan's zero-suffix skips; polynomial
+    coordinates run bch_coords' Fraction weights."""
+    n = sc.dim
+    x = LieVector([F(i - 2, 3 + i) for i in range(n)])
+    pairs = [
+        (x, LieVector([F(5 - 2 * i, 4) for i in range(n)])),
+        (x, x),
+        (x, LieVector.basis(n, n - 1)),
+        (x, LieVector.basis(n, n - 2)),
+        (LieVector.basis(n, 1), x),
+    ]
+    for a, b in pairs:
+        reference = dynkin_reference(sc, a.coords, b.coords)
+        assert bch_product(sc, a, b) == LieVector(reference)
+        assert bch_coords(sc, a.coords, b.coords) == reference
+    ring = PolyRing(["a", "b"])
+    xs = [F(i + 1, 3) * ring.var("a") + F(1, i + 2) for i in range(n)]
+    ys = [F(2 - i, 5) * ring.var("b") for i in range(n)]
+    assert bch_coords(sc, xs, ys) == dynkin_reference(sc, xs, ys)
+
+
+def test_no_bracket_is_taken_on_a_zero_suffix(monkeypatch):
+    """A suffix whose bracket is zero ends every longer word on it: in
+    filiform(7), [x, [x, X6]] = 0 and no length-4 word builds on it."""
+    counted = []
+
+    def count_brackets(sc):
+        inner = sc.integer_bracket
+
+        def bracket(xs, ys):
+            counted.append(any(ys))
+            return inner(xs, ys)
+
+        monkeypatch.setattr(sc, "integer_bracket", bracket)
+
+    sc = catalog.filiform(7)
+    x = LieVector([F(1), F(2), F(-1), F(0), F(1, 2), F(3), F(1)])
+    y = LieVector.basis(7, 5)
+    reference = LieVector(dynkin_reference(sc, x.coords, y.coords))
+    count_brackets(sc)
+    assert bch_product(sc, x, y) == reference
+    assert counted and all(counted)
+    counted.clear()
+    sc = catalog.abelian(4)
+    count_brackets(sc)
+    x, y = LieVector.basis(4, 0), LieVector([F(1), F(2), F(0), F(-1)])
+    assert bch_product(sc, x, y) == x + y
+    assert counted == []
+
+
 def test_bch_coords_on_polynomials_matches_reference():
     sc = DENOMINATOR_ALGEBRAS[1]
     n = sc.dim
@@ -124,8 +181,9 @@ def test_words_ending_doubled_are_dropped():
 def test_identity_and_inverse():
     sc = catalog.example_3_2()
     x = LieVector([F(1), F(-2), F(3), F(0), F(1, 2)])
-    assert bch_product(sc, x, LieVector.zero(5)) == x
-    assert bch_product(sc, LieVector.zero(5), x) == x
+    # log(exp x exp 0) = x exactly: the other argument comes back as is
+    assert bch_product(sc, x, LieVector.zero(5)) is x
+    assert bch_product(sc, LieVector.zero(5), x) is x
     assert not any(bch_product(sc, x, -x))
 
 

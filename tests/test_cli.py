@@ -168,6 +168,10 @@ def test_words_exit_codes(capsys):
     # a d = 2 level without --qmax scans the default q_max = 100 box
     code, out, _ = run(capsys, "words", "triangular:3", "-p", "1")
     assert code == 0 and json.loads(out)["q_max"] == 100
+    # filiform(8) has step 7, one more than the BCH series is built for
+    code, out, err = run(capsys, "words", "filiform:8", "-p", "6")
+    assert code == 2 and out == ""
+    assert err == "error: BCH series built up to step 6; this algebra has step 7\n"
 
 
 def test_gap_min_gap_gate(capsys):
@@ -293,6 +297,8 @@ def test_counterexample_smoke(capsys):
 def test_unknown_algebra_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "borel")
     assert code == 2 and "catalog" in err
+    # the plain message, not the repr that str(KeyError) gives
+    assert err.startswith("error: unknown algebra 'borel'; catalog: ")
 
 
 def test_missing_config_is_usage_error(capsys):
