@@ -489,8 +489,8 @@ def build_parser():
         "--budget",
         type=int,
         default=200,
-        help="witness tries per level; a level whose structured tries all give"
-        " the zero pencil is decided symbolically before the budget runs out",
+        help="witness tries per level; the symbolic pencil is built once, at the"
+        " first random try evaluation does not prove, and may settle the level",
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verify", action="store_true", help="recheck the certificate")

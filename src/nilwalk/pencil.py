@@ -24,8 +24,9 @@ A witness try needs only a yes, and integer evaluation proves one
 without building a polynomial: if the n_p x n_p integer matrix of the
 level-p coordinates at n_p fixed points a^(t) is nonsingular, no
 dependence lam can kill every row, so the coordinates are independent.
-A singular matrix proves nothing, and then the polynomial rank decides,
-so every decision is the polynomial one.
+A singular matrix proves nothing, and the search counts that try as
+failed, so every witness is proved by evaluation.  Degeneracy is
+decided once per level, on the symbolic pencil.
 """
 
 from __future__ import annotations
@@ -535,27 +536,40 @@ class GreatnessCertificate:
     def verify(self, sc: StructureConstants):
         """Re-check every stored witness and kernel from scratch.
 
-        A witness is proved by integer evaluation, or else by the exact
-        polynomial rank of its pencil, so the answer is exact either way.
+        The levels must be exactly p = 1..step-1 of sc.  A witness is
+        proved by integer evaluation, or else by the exact polynomial rank
+        of its pencil, so the answer is exact either way.  A degenerate
+        level must carry a proof that holds: its symbolic pencil is zero,
+        or a nonzero kernel with one entry per coordinate annihilates it.
         """
+        if self.step != sc.step or [lv.p for lv in self.levels] != list(range(1, sc.step)):
+            return False
         for lv in self.levels:
+            m, p = self.m, lv.p
             if lv.status == "witness":
-                m, p, k = self.m, lv.p, lv.witness
+                k = lv.witness
                 if not (
                     _proved_independent(sc, m, p, k)
                     or linearly_independent(pencil_at_k(sc, m, p, k))[0]
                 ):
                     return False
-            elif lv.status == "degenerate" and lv.proof == "uniform_kernel":
-                pen = build_pencil(sc, self.m, lv.p)
-                s = pen.ring.zero()
-                for c, poly in zip(lv.kernel, pen.coords):
-                    s = s + c * poly
-                if not s.is_zero():
+            elif lv.status == "degenerate":
+                if lv.proof == "identically_zero":
+                    if not build_pencil(sc, m, p).is_identically_zero():
+                        return False
+                elif lv.proof == "uniform_kernel":
+                    coords = build_pencil(sc, m, p).coords
+                    kernel = lv.kernel or ()
+                    if not (
+                        len(kernel) == len(coords)
+                        and any(kernel)
+                        and sum(map(mul, kernel, coords)).is_zero()
+                    ):
+                        return False
+                else:
                     return False
-            elif lv.status == "degenerate" and lv.proof == "identically_zero":
-                if not build_pencil(sc, self.m, lv.p).is_identically_zero():
-                    return False
+            elif lv.status != "undetermined":
+                return False
         return True
 
     def to_json_dict(self):
@@ -626,28 +640,21 @@ def certify_greatness(
     """Search for witnesses at every level 1..step-1, else prove degeneracy.
 
     Structured candidates first, then uniform random integer rows in
-    {-3..3} up to the per-level budget.  Integer evaluation at fixed
-    points proves most witnesses; a try it does not prove is decided by
-    the polynomial rank of pencil_at_k, so every decision, and with it
-    the certificate, is the one the polynomials give.
+    {-3..3} up to the per-level budget.  Every try is decided by integer
+    evaluation alone: a nonsingular matrix proves it a witness, and a try
+    that evaluation does not prove counts as failed, so every witness in
+    the certificate is proved.
 
     A level with no witness found is settled symbolically when possible:
     either every pencil coordinate is the zero polynomial, or a single
     rational kernel annihilates the whole symbolic pencil (hence every
     integer evaluation).  Otherwise the level is reported undetermined.
-    Budget 0 tries nothing and decides every level symbolically.
-
-    A level settles before its budget runs out when every structured
-    candidate gives the all-zero pencil: a nonzero pencil of degree D
-    vanishes at a random point of S^n with probability at most D/|S|
-    (Schwartz-Zippel), so the symbolic pencil is built then, once, and
-    decides the level if it is zero or has a uniform kernel.  If it does
-    not, the random search goes on and the built pencil is not rebuilt.
-    The build waits for the first random try: when evaluation proves
-    that try a witness, the level cannot be degenerate and no build is
-    needed.  Otherwise the build decides first, and when it settles the
-    level the draw is undone, so the random stream and every certificate
-    are as if the build had come before the draw.
+    The symbolic pencil is built once per level: at the first random try
+    that evaluation does not prove, or at the end if no random try was
+    made (budget 0 tries nothing and decides every level symbolically).
+    When that pencil settles the level the draw is undone, so the random
+    stream and every certificate are as if the build had come before the
+    draw; otherwise the random search goes on.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -656,39 +663,29 @@ def certify_greatness(
     rng = random.Random(seed)
     levels = []
     for p in range(1, sc.step):
-        found = pen = settled = None
-        all_zero = True
+        pen = cert = None
         tried = 0
-        candidates = list(_structured_candidates(m, p))
+        candidates = iter(_structured_candidates(m, p))
         while tried < budget:
-            if candidates:
-                kbar = candidates.pop(0)
-            else:
-                settle = all_zero and pen is None
-                undrawn = rng.getstate() if settle else None
+            kbar = next(candidates, None)
+            drawn = kbar is None
+            if drawn:
+                # the state is kept only while the draw may still be undone
+                undrawn = rng.getstate() if pen is None else None
                 kbar = tuple(
                     tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1)
                 )
-                if settle and not _proved_independent(sc, m, p, kbar):
-                    pen = build_pencil(sc, m, p)
-                    settled = _symbolic_proof(pen, tried)
-                    if settled is not None:
-                        rng.setstate(undrawn)
-                        break
-            tried += 1
-            ok = _proved_independent(sc, m, p, kbar)
-            if not ok:
-                polys = pencil_at_k(sc, m, p, kbar)
-                all_zero = all_zero and all(c.is_zero() for c in polys)
-                ok, _ = linearly_independent(polys)
-            if ok:
-                found = kbar
+            if _proved_independent(sc, m, p, kbar):
+                cert = LevelCertificate(p=p, status="witness", witness=kbar, tried=tried + 1)
                 break
-        if found is not None:
-            levels.append(LevelCertificate(p=p, status="witness", witness=found, tried=tried))
-            continue
-        if pen is None:
-            # a pencil built in the loop has been decided already
-            settled = _symbolic_proof(build_pencil(sc, m, p), tried)
-        levels.append(settled or LevelCertificate(p=p, status="undetermined", tried=tried))
+            if drawn and pen is None:
+                pen = build_pencil(sc, m, p)
+                cert = _symbolic_proof(pen, tried)
+                if cert is not None:
+                    rng.setstate(undrawn)
+                    break
+            tried += 1
+        if cert is None and pen is None:
+            cert = _symbolic_proof(build_pencil(sc, m, p), tried)
+        levels.append(cert or LevelCertificate(p=p, status="undetermined", tried=tried))
     return GreatnessCertificate(m=m, step=sc.step, levels=tuple(levels))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -257,8 +258,9 @@ def test_certify_uniform_kernel():
     assert lvl.status == "degenerate"
     assert lvl.proof == "uniform_kernel"
     assert lvl.kernel == (F(1), F(0))
-    # its tries are dependent but not all-zero, so the whole budget is spent
-    assert lvl.tried == 50
+    # its tries are dependent but not all-zero; the first random try builds
+    # the symbolic pencil, whose kernel settles the level before that draw
+    assert lvl.tried == len(_structured_candidates(2, 3))
     assert cert.verify(sc)
 
 
@@ -272,6 +274,12 @@ def test_all_zero_level_settles_once_structured_candidates_are_spent():
     assert lvl.proof == "identically_zero"
     assert lvl.tried == len(_structured_candidates(2, 3)) == 4
     assert cert == certify_greatness(sc, 2, budget=40)
+    # a level with a uniform kernel and nonzero pencils settles just as soon
+    sc, cert = _uniform_kernel_case()
+    lvl = cert.level(3)
+    assert lvl.proof == "uniform_kernel"
+    assert lvl.tried == len(_structured_candidates(2, 3)) == 4
+    assert cert == certify_greatness(sc, 2, budget=200)
 
 
 def test_one_generator_levels_are_identically_zero_after_one_try():
@@ -285,8 +293,8 @@ def test_one_generator_levels_are_identically_zero_after_one_try():
 
 def test_full_rank_symbolic_pencil_resumes_random_search():
     # every structured try at m=3, level 3 is all-zero but the symbolic
-    # pencil is not degenerate, so the fifth try (the first random one,
-    # from the same stream as without the symbolic check) is the witness
+    # pencil is not degenerate, and the fifth try (the first random one)
+    # is proved by evaluation, so it is the witness
     sc = catalog.example_5_6()
     cert = certify_greatness(sc, 3)
     lvl = cert.level(3)
@@ -327,6 +335,55 @@ def test_tampered_certificate_fails_verify():
     sc, cert = _uniform_kernel_case()
     object.__setattr__(cert.level(3), "kernel", (F(0), F(1)))
     assert not cert.verify(sc)
+    # certificates that prove nothing: heisenberg is 2-great, so a zero
+    # kernel must not pass as a proof of degeneracy
+    zero = LevelCertificate(p=1, status="degenerate", proof="uniform_kernel", kernel=(F(0),))
+    assert not GreatnessCertificate(m=2, step=2, levels=(zero,)).verify(catalog.heisenberg())
+    sc, good = _uniform_kernel_case()
+    assert good.verify(sc)
+
+    def level3(**changes):
+        levels = tuple(replace(lv, **changes) if lv.p == 3 else lv for lv in good.levels)
+        return replace(good, levels=levels)
+
+    tampered = [
+        level3(kernel=()),  # too short
+        level3(kernel=(F(1), F(0), F(5))),  # too long
+        level3(kernel=None),
+        level3(proof=None),
+        level3(proof="by_inspection"),
+        level3(status="great"),
+        replace(good, step=good.step + 1),
+        replace(good, levels=good.levels[:-1]),
+        replace(good, levels=good.levels[::-1]),
+        replace(good, levels=()),
+    ]
+    for bad in tampered:
+        assert not bad.verify(sc), bad
+
+
+def test_certify_decides_every_try_by_evaluation(monkeypatch):
+    # certify never takes a polynomial rank on a try, and builds at most
+    # one symbolic pencil per level, which it ranks at most once
+    algebras = list(catalog.default_corpus()) + [("uniform_kernel", _uniform_kernel_case()[0])]
+    builds, ranks = [], []
+    build, rank = pencil.build_pencil, pencil.linearly_independent
+
+    def no_pencil_at_k(*args):
+        raise AssertionError("certify evaluated pencil_at_k")
+
+    monkeypatch.setattr(pencil, "pencil_at_k", no_pencil_at_k)
+    monkeypatch.setattr(
+        pencil, "build_pencil", lambda sc, m, p: builds.append(p) or build(sc, m, p)
+    )
+    monkeypatch.setattr(pencil, "linearly_independent", lambda polys: ranks.append(1) or rank(polys))
+    for label, sc in algebras:
+        for m in (2, 3, 4):
+            builds.clear()
+            ranks.clear()
+            certify_greatness(sc, m)
+            assert len(builds) == len(set(builds)), (label, m, builds)
+            assert len(ranks) <= len(builds), (label, m)
 
 
 # -- witnesses proved by integer evaluation -------------------------------------------
@@ -425,7 +482,7 @@ def test_certificate_json_shape():
 # SHA-256 of _certify_canon(); it pins certificates, witness searches,
 # random-algebra bases (the nullspace path) and kernel vectors across
 # refactors of pencil and linalg.
-CERTIFY_SHA256 = "64aa9ad0de9d7c507ff47417546f5c7e2fb50c273618e921d66995190c43312f"
+CERTIFY_SHA256 = "c9f624af2bc2a00daa692c234383085cdf3f60ba7aa8dae73f2355e6e091450e"
 
 
 def _certify_canon():

@@ -6,6 +6,7 @@ makes that a test failure.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import nilwalk
@@ -28,13 +29,16 @@ def _layers():
 def test_tracer_wraps_and_restores_every_layer():
     tracing = _tracing_module()
     originals = _layers()
-    # example_5_6's level 3 is all-zero at m=2, so integer evaluation
-    # proves nothing there and pencil_at_k and the rank decision run
+    # certify decides every try by integer evaluation, so pencil_at_k and
+    # the polynomial rank run in verify, on a witness with a Fraction entry
     sc = catalog.example_5_6()
+    half = pencil.LevelCertificate(p=1, status="witness", witness=((Fraction(1, 2), 0), (0, 3)))
     with tracing.Tracer(nilwalk) as tracer:
         assert all(a is not b for a, b in zip(_layers(), originals))
         cert = pencil.certify_greatness(sc, 2)
         assert cert.verify(sc)
+        fraction_cert = pencil.GreatnessCertificate(m=2, step=2, levels=(half,))
+        assert fraction_cert.verify(catalog.heisenberg())
     assert _layers() == originals
     metrics = tracer.metrics(overhead_ratio=1.0)
     assert [name for name, _ in tracing.metric_units()] == list(metrics)
