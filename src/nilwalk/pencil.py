@@ -399,6 +399,14 @@ def _check_k(sc, kbar, m, p):
     return kbar
 
 
+def _is_matrix(k, rows, cols):
+    """True when k is a sequence of `rows` sequences of `cols` entries."""
+    try:
+        return len(k) == rows and all(len(row) == cols for row in k)
+    except TypeError:
+        return False
+
+
 def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     """H_{m,p}(kbar, a) computed directly, without the symbolic k block.
 
@@ -536,11 +544,12 @@ class GreatnessCertificate:
     def verify(self, sc: StructureConstants):
         """Re-check every stored witness and kernel from scratch.
 
-        The levels must be exactly p = 1..step-1 of sc.  A witness is
-        proved by integer evaluation, or else by the exact polynomial rank
-        of its pencil, so the answer is exact either way.  A degenerate
-        level must carry a proof that holds: its symbolic pencil is zero,
-        or a nonzero kernel with one entry per coordinate annihilates it.
+        The levels must be exactly p = 1..step-1 of sc.  A witness must be
+        p+1 rows of m entries, proved by integer evaluation or else by the
+        exact polynomial rank of its pencil, so the answer is exact either
+        way.  A degenerate level must carry a proof that holds: its
+        symbolic pencil is zero, or a nonzero kernel with one entry per
+        coordinate annihilates it.  A certificate it cannot read fails.
         """
         if self.step != sc.step or [lv.p for lv in self.levels] != list(range(1, sc.step)):
             return False
@@ -548,7 +557,7 @@ class GreatnessCertificate:
             m, p = self.m, lv.p
             if lv.status == "witness":
                 k = lv.witness
-                if not (
+                if not _is_matrix(k, p + 1, m) or not (
                     _proved_independent(sc, m, p, k)
                     or linearly_independent(pencil_at_k(sc, m, p, k))[0]
                 ):

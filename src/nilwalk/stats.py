@@ -94,7 +94,8 @@ def clt_experiment(
     S_N sample with Normal(0, sigma_model); sigma_martingale averages
     the conditional increment variances over all paths and steps, which
     converges to the same limit when the walk equidistributes.  As in
-    correlation_sweep, paths run on the quotient the character reads.
+    correlation_sweep, the character is validated and the paths run on
+    the abelianized torus.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")

@@ -3,21 +3,17 @@
 A walk is driven by finitely many group elements g_j picked i.i.d. with
 rational probabilities; the state is the reduced coordinate tuple of
 x_n = g_{j_n} x_{n-1} in the unit box.  Observables are characters
-A(t) = exp(2 pi i lam.t) with integer frequency lam; those supported on
-the top-level block descend to the abelianized torus, where they are
-exact eigenfunctions of the transfer operator with eigenvalue
-c = sum_j p_j A(g_j).  Every observable is validated at runtime against
-the two properties the analysis actually uses, lattice invariance and
-generator equivariance, instead of trusting the support heuristic.
+A(t) = exp(2 pi i lam.t) with integer frequency lam; validate_observable
+proves that one is a walk observable iff lam lives on level 0.  Such a
+character descends to the abelianized torus, where it is an exact
+eigenfunction of the transfer operator, eigenvalue c = sum_j p_j A(g_j).
 
 Correlations are estimated over independent sample paths started at the
 identity, so the mean of A(x_N) should track c^N.  The paths run in
-seeded chunks (run_chunks, shared with the CLT) on the quotient
-g / g^(q+1) the characters read: q = 0, the abelianized torus, for
-every character that validates.  gap_profile lists c
-over a frequency box, flagging resonant frequencies with |c| = 1, and
-tame_decay_fit measures the sup-norm decay of the transfer operator on
-a Sobolev-weighted character sum.
+seeded chunks (run_chunks, shared with the CLT) on that torus.
+gap_profile lists c over a frequency box, flagging resonant frequencies
+with |c| = 1, and tame_decay_fit measures the sup-norm decay of the
+transfer operator on a Sobolev-weighted character sum.
 """
 
 from __future__ import annotations
@@ -55,11 +51,6 @@ __all__ = [
 
 CHUNK = 8192  # fixed sample chunking so results never depend on worker count
 
-# validate_observable checks this many seeded random points to this tolerance
-VALIDATION_SAMPLES = 64
-VALIDATION_TOL = 1e-9
-VALIDATION_SEED = 2
-
 
 def worker_count():
     """Process count from NILWALK_WORKERS (default 1); anything but an
@@ -75,7 +66,7 @@ def worker_count():
 
 
 class ObservableError(Exception):
-    """The proposed observable fails invariance or equivariance."""
+    """The proposed character is not a walk observable."""
 
 
 @dataclass(frozen=True)
@@ -165,10 +156,9 @@ class Character:
     def norm(self):
         return math.sqrt(sum(v * v for v in self.lam))
 
-    def phase_of(self, system: SecondKindSystem, g: LieVector) -> Fraction:
-        """Exact phase lam . sk(g) mod 1."""
-        t = system.sk_from_log(g)
-        s = sum((l * v for l, v in zip(self.lam, t)), Fraction(0))
+    def phase_of(self, g: LieVector) -> Fraction:
+        """Exact phase lam . log(g) mod 1, which is lam . sk(g) on level 0."""
+        s = Fraction(sum(l * n for l, n in zip(self.lam, g.nums)), g.den)
         return s - math.floor(s)
 
     def values(self, t):
@@ -189,12 +179,13 @@ class Character:
 
 
 def transfer_eigenvalue(config: WalkConfig, char: Character):
-    """c = sum_j p_j A(g_j), with exact rational phases.
+    """c = sum_j p_j A(g_j) with exact rational phases, A validated first.
 
     Returns (c, resonant): resonant means every generator phase agrees
     mod 1, which forces |c| = 1 and kills all decay at this frequency.
     """
-    phases = [char.phase_of(config.system, g) for g in config.generators]
+    validate_observable(config, char)
+    phases = [char.phase_of(g) for g in config.generators]
     c = sum(
         float(p) * cmath.exp(2j * math.pi * float(ph))
         for p, ph in zip(config.probs, phases)
@@ -204,42 +195,20 @@ def transfer_eigenvalue(config: WalkConfig, char: Character):
 
 
 def validate_observable(config: WalkConfig, char: Character):
-    """Reject characters that do not descend to walk observables.
-
-    Checks, on random points: invariance under reduction (A must factor
-    through the lattice quotient) and exact equivariance under every
-    generator (A(g_j x) = A(g_j) A(x), same constant at every x).  On
-    the Heisenberg group, for instance, a frequency on the central
-    coordinate passes neither, because translation mixes the center with
-    a bilinear term.
-    """
-    rng = np.random.default_rng(VALIDATION_SEED)
-    t = rng.uniform(-3.0, 3.0, size=(VALIDATION_SAMPLES, config.dim))
-    box = config.system.reduce_batch(t)
-    base = char.values(box)
-    inv_err = float(np.max(np.abs(char.values(t) - base)))
-    if inv_err > VALIDATION_TOL:
-        raise ObservableError(
-            f"character {char.lam} is not lattice invariant (err {inv_err:.2e})"
-        )
-    eq_err = 0.0
-    for tmap in config.translation_maps:
-        moved = char.values(tmap(box))
-        ratio = moved / base
-        eq_err = max(eq_err, float(np.max(np.abs(ratio - ratio[0]))))
-        eq_err = max(eq_err, abs(float(np.max(np.abs(ratio))) - 1.0))
-    if eq_err > VALIDATION_TOL:
-        raise ObservableError(
-            f"character {char.lam} is not generator equivariant (err {eq_err:.2e})"
-        )
-    return inv_err, eq_err
-
-
-def support_level(sc: StructureConstants, characters) -> int:
-    """Deepest level of the central series that any frequency touches."""
-    level_of = sc.series.level_of
-    levels = (level_of(i) for ch in characters for i, v in enumerate(ch.lam) if v)
-    return max(levels, default=0)
+    """Raise ObservableError unless lam is zero off level 0 (exact rule).
+    Enough: the level-0 block of g(t) g(s) is t + s, so A is lattice
+    invariant and generator equivariant.  Necessary: at the deepest level
+    q >= 1 lam reads, right multiplication by a level-0 lattice point X_j
+    moves lam.t by sum lam_z c_ij^z t_i (i on level q-1, z on level q)
+    plus terms free of level-(q-1) coordinates; the level-q parts of the
+    [X_i, X_j] span level q, so for some j that move is not constant."""
+    sc = config.sc
+    if len(char.lam) != sc.dim:
+        raise ValueError(f"frequency has {len(char.lam)} entries but dim is {sc.dim}")
+    for i in range(sc.series.dims[0], sc.dim):
+        if char.lam[i]:
+            where = f"level {sc.series.level_of(i)} ({sc.names[i]})"
+            raise ObservableError(f"character {char.lam} is no walk observable: it reads {where}")
 
 
 def abelianized_lambda_box(sc: StructureConstants, radius: int):
@@ -247,14 +216,10 @@ def abelianized_lambda_box(sc: StructureConstants, radius: int):
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     n0 = sc.series.dims[0]
-    rest = sc.dim - n0
-    out = []
-    for head in iproduct(range(-radius, radius + 1), repeat=n0):
-        if not any(head):
-            continue
-        out.append(Character(head + (0,) * rest))
-    out.sort(key=lambda ch: (ch.norm, ch.lam))
-    return out
+    pad = (0,) * (sc.dim - n0)
+    heads = iproduct(range(-radius, radius + 1), repeat=n0)
+    box = [Character(head + pad) for head in heads if any(head)]
+    return sorted(box, key=lambda ch: (ch.norm, ch.lam))
 
 
 @dataclass(frozen=True)
@@ -322,11 +287,11 @@ def run_chunks(work, config: WalkConfig, samples, seed, *args):
 
 
 def simulated_walk(config: WalkConfig, characters):
-    """Validate every character on the full config, then return the
-    quotient walk they read and the characters truncated to it."""
+    """Validate every character, then return the walk on the abelianized
+    torus and the characters truncated to it."""
     for ch in characters:
         validate_observable(config, ch)
-    sim = config.quotient(support_level(config.sc, characters))
+    sim = config.quotient(0)
     return sim, [Character(ch.lam[: sim.dim]) for ch in characters]
 
 
@@ -354,8 +319,8 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
 
     All paths start at the identity and are advanced jointly; chunked
     deterministically so the output depends only on the seed, never on
-    NILWALK_WORKERS.  After validation on the full config the paths run
-    on the quotient the characters read, with the full walk's bits.
+    NILWALK_WORKERS.  After validation the paths run on the abelianized
+    torus, whose coordinates are bit for bit the full walk's level 0.
     stderr is the root mean square error of the complex mean (characters
     are unit modulus, so the population second moment is exactly 1).
     """

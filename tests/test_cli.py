@@ -216,6 +216,23 @@ def test_correlate_header_records_the_walk(capsys):
     assert 'preset="circle-golden"' in golden and 'times="2"' in golden
 
 
+def test_correlate_decides_characters_exactly(capsys):
+    # a central frequency is no walk observable: exit 2, naming where it reads
+    code, out, err = run(
+        capsys, "correlate", "--preset", "golden-heisenberg", "--character", "0,0,1",
+    )
+    error = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2 and out == "" and len(error) == 1
+    assert "level 1" in error[0] and "X3" in error[0]
+    # a large level-0 frequency is exactly invariant, however far its
+    # float values sit from a sampled tolerance
+    code, out, _ = run(
+        capsys, "correlate", "--preset", "golden-heisenberg", "--character", "1000000,0",
+        "--times", "4,16", "--samples", "4000", "--check", "6",
+    )
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_bad_worker_count_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("NILWALK_WORKERS", "abc")
     code, out, err = run(

@@ -360,6 +360,12 @@ def test_tampered_certificate_fails_verify():
     ]
     for bad in tampered:
         assert not bad.verify(sc), bad
+    # witnesses verify cannot read fail instead of raising
+    sc = catalog.heisenberg()
+    cert = certify_greatness(sc, 2)
+    for witness in (None, ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, 0), 5), 7):
+        bad = replace(cert, levels=(replace(cert.level(1), witness=witness),))
+        assert not bad.verify(sc), witness
 
 
 def test_certify_decides_every_try_by_evaluation(monkeypatch):

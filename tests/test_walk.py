@@ -1,12 +1,14 @@
 import math
 import os
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
 from nilwalk import catalog, walk
-from nilwalk.lie_core import LieVector
+from nilwalk.coords import SecondKindSystem
+from nilwalk.lie_core import LieVector, rescale_levels
 from nilwalk.stats import clt_experiment
 from nilwalk.walk import (
     Character,
@@ -102,8 +104,7 @@ def test_abelianized_box_count_and_order():
 
 def test_validation_accepts_abelianized_rejects_center(monkeypatch):
     cfg = golden_heisenberg_config()
-    inv, eq = validate_observable(cfg, Character((1, -2, 0)))
-    assert inv < 1e-12 and eq < 1e-12
+    validate_observable(cfg, Character((1, -2, 0)))  # does not raise
     with pytest.raises(ObservableError):
         validate_observable(cfg, Character((0, 0, 1)))
 
@@ -126,6 +127,87 @@ def test_validation_accepts_abelianized_rejects_center(monkeypatch):
                     correlation_sweep(cfg, [ch], [4], samples=64, seed=0)
                 with pytest.raises(ObservableError):
                     clt_experiment(cfg, ch, N=4, trials=100, seed=0)
+
+
+def _sampled_reference(cfg):
+    """The sampled float validation the exact rule replaced, as a verdict
+    function: 64 points from default_rng(2), each compared reduced against
+    unreduced and after every generator's move, to a tolerance of 1e-9.
+    The points and moves do not depend on the character, so they are
+    computed once per config."""
+    rng = np.random.default_rng(2)
+    t = rng.uniform(-3.0, 3.0, size=(64, cfg.dim))
+    box = cfg.system.reduce_batch(t)
+    moves = [tmap(box) for tmap in cfg.translation_maps]
+
+    def passes(ch):
+        base = ch.values(box)
+        if np.max(np.abs(ch.values(t) - base)) > 1e-9:
+            return False
+        for moved in moves:
+            ratio = ch.values(moved) / base
+            if np.max(np.abs(ratio - ratio[0])) > 1e-9:
+                return False
+            if abs(np.max(np.abs(ratio)) - 1.0) > 1e-9:
+                return False
+        return True
+
+    return passes
+
+
+def _generic_walk(sc):
+    """Two generators with irrational coordinates on every level (dim <= 6)."""
+    head = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 6, 7, 10)][: sc.dim]
+    gens = [[F(x) for x in head], [F(-x) for x in reversed(head)]]
+    return walk_config(sc, gens, [F(1, 3), F(2, 3)])
+
+
+def test_exact_rule_matches_sampled_reference():
+    configs = {name: make() for name, make in WALKS.items()}
+    for name, sc in [
+        ("example_3_2 rescaled", rescale_levels(catalog.example_3_2(), [1, 1, 2])),
+        ("filiform(5) rescaled", rescale_levels(catalog.filiform(5), [1, 1, 2, 6])),
+    ]:
+        configs[name] = _generic_walk(sc)
+    rng = np.random.default_rng(17)
+    for name, cfg in configs.items():
+        n0 = cfg.sc.series.dims[0]
+        if cfg.dim <= 6:
+            lams = list(iproduct((-1, 0, 1), repeat=cfg.dim))
+        else:  # a seeded sample of the box, plus its whole level-0 face
+            lams = [tuple(row) for row in rng.integers(-1, 2, size=(400, cfg.dim))]
+            lams += [head + (0,) * (cfg.dim - n0) for head in iproduct((-1, 0, 1), repeat=n0)]
+        reference = _sampled_reference(cfg)
+        verdicts = set()
+        for lam in lams:
+            if not any(lam):
+                continue
+            ch = Character(lam)
+            try:
+                validate_observable(cfg, ch)
+                exact = True
+            except ObservableError:
+                exact = False
+            assert exact == reference(ch) == (not any(lam[n0:])), (name, lam)
+            verdicts.add(exact)
+        assert verdicts == {True, False}, name
+
+
+def test_sweep_and_clt_touch_only_the_torus(monkeypatch):
+    cfg = triangular_config(4)
+    n0 = cfg.sc.series.dims[0]
+    dims = []
+    for name in ("translation_map", "reduction_map"):
+
+        def spy(self, arg, _compile=getattr(SecondKindSystem, name)):
+            dims.append(self.dim)
+            return _compile(self, arg)
+
+        monkeypatch.setattr(SecondKindSystem, name, spy)
+    ch = Character((1, -1, 0, 1) + (0,) * (cfg.dim - n0))
+    correlation_sweep(cfg, [ch], [2, 4], samples=64, seed=0)
+    clt_experiment(cfg, ch, N=4, trials=100, seed=0)
+    assert dims and set(dims) == {n0}
 
 
 def test_transfer_eigenvalue_lazy_walk():
