@@ -400,9 +400,12 @@ def _check_k(sc, kbar, m, p):
 
 
 def _is_matrix(k, rows, cols):
-    """True when k is a sequence of `rows` sequences of `cols` entries."""
+    """True when k is a sequence of `rows` sequences of `cols` exact
+    entries, each an int or a Fraction."""
     try:
-        return len(k) == rows and all(len(row) == cols for row in k)
+        return len(k) == rows and all(
+            len(row) == cols and all(isinstance(v, (int, Fraction)) for v in row) for row in k
+        )
     except TypeError:
         return False
 
@@ -549,7 +552,8 @@ class GreatnessCertificate:
         exact polynomial rank of its pencil, so the answer is exact either
         way.  A degenerate level must carry a proof that holds: its
         symbolic pencil is zero, or a nonzero kernel with one entry per
-        coordinate annihilates it.  A certificate it cannot read fails.
+        coordinate annihilates it.  Entries must be ints or Fractions.  A
+        certificate it cannot read fails; verify never raises on it.
         """
         if self.step != sc.step or [lv.p for lv in self.levels] != list(range(1, sc.step)):
             return False
@@ -568,9 +572,9 @@ class GreatnessCertificate:
                         return False
                 elif lv.proof == "uniform_kernel":
                     coords = build_pencil(sc, m, p).coords
-                    kernel = lv.kernel or ()
+                    kernel = lv.kernel
                     if not (
-                        len(kernel) == len(coords)
+                        _is_matrix((kernel,), 1, len(coords))
                         and any(kernel)
                         and sum(map(mul, kernel, coords)).is_zero()
                     ):

@@ -70,14 +70,14 @@ def _clt_chunk(config, char, w, N, size, rng):
     pfloat = np.asarray([float(p) for p in config.probs])
     path_sum = np.zeros(size)
     q_total = 0.0
-    for moved, t in sample_paths(config, size, rng, N):
-        # conditional variance of the increment that led to t, over the
-        # step's proposed moves (chi is reduction invariant, so the
-        # proposals need no lattice reduction)
+    for prev, t in sample_paths(config, size, rng, N):
+        # conditional variance of the increment that led to t, over every
+        # generator's proposal prev + shift (chi is reduction invariant,
+        # so the proposals need no lattice reduction)
         b1 = np.zeros(size)
         b2 = np.zeros(size)
-        for p, move in zip(pfloat, moved):
-            b = np.real(w * char.values(move))
+        for p, shift in zip(pfloat, config.shifts):
+            b = np.real(w * char.values(prev + shift))
             b1 += p * b
             b2 += p * b * b
         q_total += float(np.sum(b2 - b1 * b1))

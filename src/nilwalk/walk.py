@@ -10,7 +10,8 @@ eigenfunction of the transfer operator, eigenvalue c = sum_j p_j A(g_j).
 
 Correlations are estimated over independent sample paths started at the
 identity, so the mean of A(x_N) should track c^N.  The paths run in
-seeded chunks (run_chunks, shared with the CLT) on that torus.
+seeded chunks (run_chunks, shared with the CLT) on that torus, where a
+step adds the chosen generator's shift and drops the integer part.
 gap_profile lists c over a frequency box, flagging resonant frequencies
 with |c| = 1, and tame_decay_fit measures the sup-norm decay of the
 transfer operator on a Sobolev-weighted character sum.
@@ -46,6 +47,7 @@ __all__ = [
     "DecayFit",
     "tame_decay_fit",
     "advance",
+    "draw_generators",
     "worker_count",
 ]
 
@@ -82,9 +84,19 @@ class WalkConfig:
         return self.sc.dim
 
     @cached_property
-    def translation_maps(self):
-        """The compiled translation by each generator, looked up once."""
-        return tuple(self.system.translation_map(g) for g in self.generators)
+    def shifts(self):
+        """(J, n0) floats: each generator's level-0 coordinates, the shift
+        by which it translates the abelianized torus (log and second-kind
+        coordinates coincide there)."""
+        n0 = self.sc.series.dims[0]
+        return np.array([[float(c) for c in g.coords[:n0]] for g in self.generators])
+
+    @cached_property
+    def cdf(self):
+        """Cumulative float probabilities, normalized as Generator.choice does."""
+        cdf = np.cumsum([float(p) for p in self.probs])
+        cdf /= cdf[-1]
+        return cdf
 
     def quotient(self, q: int) -> "WalkConfig":
         """This walk on g / g^(q+1), built once per level; its coordinates
@@ -251,22 +263,44 @@ def gap_profile(config: WalkConfig, radius: int):
 # -- simulation ----------------------------------------------------------------
 
 
+def draw_generators(config: WalkConfig, size, rng):
+    """`size` generator indices, index j with probability p_j.  These are
+    the uniforms and comparisons of rng.choice(J, size, p=p), which counts
+    the cdf entries at or below each uniform, so seeded streams are kept;
+    the last entry is 1.0 and never counts."""
+    u = rng.random(size)
+    idx = np.zeros(size, dtype=np.int64)
+    for c in config.cdf[:-1]:
+        idx += u >= c
+    return idx
+
+
 def advance(config: WalkConfig, t, gen_idx):
-    """One walk step on a batch: every generator moves the whole batch,
-    each row keeps its draw and is reduced.  Returns (moves, next state),
-    moves[j] being the unreduced translation of t by generator j."""
-    moved = np.stack([tmap(t) for tmap in config.translation_maps])
-    return moved, config.system.reduce_batch(moved[gen_idx, np.arange(len(t))])
+    """One step of a torus walk on a batch: row i moves by generator
+    gen_idx[i]'s shift and is reduced into the unit box.  The torus law is
+    addition, so the step is t + shift less its integer part, bit for bit
+    what the compiled translation and reduction maps compute there.
+    Rounding can leave a coordinate at exactly 1.0 after one pass, so the
+    reduction repeats until its shifts vanish.  Returns the next state."""
+    if config.sc.step != 1:
+        raise ValueError("advance steps a torus walk only; walk config.quotient(0)")
+    x = np.take(config.shifts, gen_idx, axis=0)
+    x += t
+    for _ in range(4):
+        m = -np.floor(x)
+        if not m.any():
+            return x
+        x += m
+    raise AssertionError("torus reduction did not converge")
 
 
 def sample_paths(config: WalkConfig, size, rng, steps):
-    """Yield (moves, x_n) for n = 1 .. steps over `size` paths started at
-    the identity, where moves are every generator's proposal from x_(n-1)."""
-    pfloat = np.asarray([float(p) for p in config.probs])
+    """Yield (x_(n-1), x_n) for n = 1 .. steps over `size` paths of a
+    torus walk started at the identity."""
     t = np.zeros((size, config.dim))
     for _ in range(steps):
-        moved, t = advance(config, t, rng.choice(len(pfloat), size=size, p=pfloat))
-        yield moved, t
+        prev, t = t, advance(config, t, draw_generators(config, size, rng))
+        yield prev, t
 
 
 def run_chunks(work, config: WalkConfig, samples, seed, *args):

@@ -350,6 +350,8 @@ def test_tampered_certificate_fails_verify():
         level3(kernel=()),  # too short
         level3(kernel=(F(1), F(0), F(5))),  # too long
         level3(kernel=None),
+        level3(kernel=("a", 0)),  # entries must be ints or Fractions
+        level3(kernel=(1.0, 0)),
         level3(proof=None),
         level3(proof="by_inspection"),
         level3(status="great"),
@@ -363,7 +365,9 @@ def test_tampered_certificate_fails_verify():
     # witnesses verify cannot read fail instead of raising
     sc = catalog.heisenberg()
     cert = certify_greatness(sc, 2)
-    for witness in (None, ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, 0), 5), 7):
+    unreadable = [None, ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, 0), 5), 7]
+    unreadable += [(("a", 0), (0, 1)), ((None, 0), (0, 1))]  # not ints or Fractions
+    for witness in unreadable:
         bad = replace(cert, levels=(replace(cert.level(1), witness=witness),))
         assert not bad.verify(sc), witness
 

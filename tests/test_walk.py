@@ -16,6 +16,7 @@ from nilwalk.walk import (
     abelianized_lambda_box,
     advance,
     correlation_sweep,
+    draw_generators,
     gap_profile,
     golden_heisenberg_config,
     tame_decay_fit,
@@ -138,7 +139,7 @@ def _sampled_reference(cfg):
     rng = np.random.default_rng(2)
     t = rng.uniform(-3.0, 3.0, size=(64, cfg.dim))
     box = cfg.system.reduce_batch(t)
-    moves = [tmap(box) for tmap in cfg.translation_maps]
+    moves = [cfg.system.translation_map(g)(box) for g in cfg.generators]
 
     def passes(ch):
         base = ch.values(box)
@@ -207,7 +208,8 @@ def test_sweep_and_clt_touch_only_the_torus(monkeypatch):
     ch = Character((1, -1, 0, 1) + (0,) * (cfg.dim - n0))
     correlation_sweep(cfg, [ch], [2, 4], samples=64, seed=0)
     clt_experiment(cfg, ch, N=4, trials=100, seed=0)
-    assert dims and set(dims) == {n0}
+    # a torus step is t + shift reduced by floor: no map is compiled
+    assert dims == []
 
 
 def test_transfer_eigenvalue_lazy_walk():
@@ -238,14 +240,41 @@ def test_gap_profile_golden_box():
 
 def test_advance_applies_chosen_generator():
     cfg = golden_heisenberg_config()
-    t = np.zeros((2, 3))
-    moved, out = advance(cfg, t, np.array([0, 1]))
-    assert np.allclose(out[0], 0.0)  # identity generator
-    assert abs(out[1][0] - PHI) < 1e-15
-    # the moves are every generator's unreduced translation of the batch
-    assert moved.shape == (2, 2, 3)
-    for j, tmap in enumerate(cfg.translation_maps):
-        assert np.array_equal(moved[j], tmap(t))
+    sim = cfg.quotient(0)
+    assert np.array_equal(sim.shifts, [[0.0, 0.0], [PHI, math.sqrt(2.0) - 1.0]])
+    t = np.random.default_rng(5).random((64, 2))
+    idx = np.arange(64) % 2
+    out = advance(sim, t, idx)
+    # t + shift lies in [0, 2), where subtracting the floor is exact
+    x = t + sim.shifts[idx]
+    assert np.array_equal(out, x - np.floor(x))
+    assert np.array_equal(out[idx == 0], t[idx == 0])  # identity generator
+    with pytest.raises(ValueError, match=r"config\.quotient\(0\)"):
+        advance(cfg, np.zeros((2, 3)), idx[:2])
+
+
+def test_advance_repeats_reduction_off_the_right_edge():
+    # -1e-20 + 1 rounds to 1.0, which a second pass brings to 0.0
+    cfg = circle_config(0, F(PHI))
+    out = advance(cfg, np.array([[-1e-20], [np.nextafter(1.0, 0.0)]]), np.array([0, 0]))
+    assert out.tolist() == [[0.0], [np.nextafter(1.0, 0.0)]]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(F(1, 2), F(1, 2)), (F(1, 3),) * 3, (F(1, 10), F(7, 10), F(1, 5)), (F(1, 7), F(6, 7))],
+)
+def test_draw_matches_generator_choice(probs):
+    """The walk's draw is Generator.choice over the float probabilities,
+    index for index and in dtype, so seeded streams are unchanged."""
+    cfg = circle_config(*[F(j, 11) for j in range(len(probs))], probs=probs)
+    pfloat = [float(p) for p in probs]
+    for seed in (0, 1, 7, 2024):
+        for size in (1, 17, 8192):
+            want = np.random.default_rng(seed).choice(len(pfloat), size, p=pfloat)
+            got = draw_generators(cfg, size, np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (probs, seed, size)
 
 
 def _termwise(cmap, x):
@@ -289,15 +318,12 @@ def test_quotient_walk_matches_full_walk_bitwise(name):
     rng = np.random.default_rng(2024)
     size = 256
     full = np.zeros((size, cfg.dim))
-    fast = np.zeros((size, cfg.dim))
     quo = np.zeros((size, n0))
     for _ in range(256):
         idx = rng.choice(2, size=size, p=[0.5, 0.5])
         full = _masked_step(cfg, full, idx)
-        _, fast = advance(cfg, fast, idx)
-        _, quo = advance(sim, quo, idx)
+        quo = advance(sim, quo, idx)
     assert np.array_equal(full[:, :n0], quo)
-    assert np.array_equal(fast[:, :n0], quo)
 
 
 def test_correlation_tracks_eigenvalue_power():
