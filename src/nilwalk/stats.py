@@ -10,7 +10,10 @@ bounded boundary term.  The limit variance has the closed form
 and can also be estimated path-wise from the conditional increment
 variance q_n = sum_j p_j B(g_j x_{n-1})^2 - (sum_j p_j B(g_j x_{n-1}))^2;
 clt_experiment measures both and runs a Kolmogorov-Smirnov comparison of
-the empirical S_N distribution against the predicted normal.
+the empirical S_N distribution against the predicted normal.  The
+proposal values B(g_j x_(n-1)) come from chi at x_(n-1) + shift_j on the
+abelianized torus; a generator with zero shift reuses chi(x_(n-1)),
+computed for S_N at the step before, which is the same float bit for bit.
 """
 
 from __future__ import annotations
@@ -66,22 +69,31 @@ class CLTReport:
 
 
 def _clt_chunk(config, char, w, N, size, rng):
-    """S_N of each path in the chunk, and the summed increment variances."""
+    """S_N of each path in the chunk, and the summed increment variances.
+
+    Each step evaluates chi on every generator's proposal prev + shift
+    (chi is reduction invariant, so the proposals need no lattice
+    reduction) and on the new state.  A generator whose shift is exactly
+    zero proposes prev itself (prev + 0.0 is prev bit for bit, as no state
+    is -0.0), so it reuses `held`, the value at prev kept from the step
+    before: one complex exponential per moving generator, plus one for
+    the state."""
     pfloat = np.asarray([float(p) for p in config.probs])
+    still = [not shift.any() for shift in config.shifts]
     path_sum = np.zeros(size)
     q_total = 0.0
+    held = char.values(np.zeros((size, config.dim)))
     for prev, t in sample_paths(config, size, rng, N):
-        # conditional variance of the increment that led to t, over every
-        # generator's proposal prev + shift (chi is reduction invariant,
-        # so the proposals need no lattice reduction)
+        # conditional variance of the increment that led to t
         b1 = np.zeros(size)
         b2 = np.zeros(size)
-        for p, shift in zip(pfloat, config.shifts):
-            b = np.real(w * char.values(prev + shift))
+        for p, shift, zero in zip(pfloat, config.shifts, still):
+            b = np.real(w * (held if zero else char.values(prev + shift)))
             b1 += p * b
             b2 += p * b * b
         q_total += float(np.sum(b2 - b1 * b1))
-        path_sum += np.real(char.values(t))
+        held = char.values(t)
+        path_sum += np.real(held)
     return path_sum / math.sqrt(N), q_total
 
 
@@ -152,8 +164,11 @@ def lemma_a1_check(grid: int = 1_000_001, tol: float = 1e-12) -> LemmaReport:
 
     |1 + e^(2 pi i theta)| = 2 cos(pi theta) there, so the residual
     (2 - 8 theta^2) - 2 cos(pi theta) must be nonnegative up to rounding;
-    equality holds at theta = 0 and theta = +-1/2.
+    equality holds at theta = 0 and theta = +-1/2.  The grid needs both
+    endpoints, so at least 2 points.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
     theta = np.linspace(-0.5, 0.5, grid)
     residual = (2.0 - 8.0 * theta**2) - np.abs(1.0 + np.exp(2j * np.pi * theta))
     i = int(np.argmin(residual))

@@ -280,17 +280,18 @@ def advance(config: WalkConfig, t, gen_idx):
     gen_idx[i]'s shift and is reduced into the unit box.  The torus law is
     addition, so the step is t + shift less its integer part, bit for bit
     what the compiled translation and reduction maps compute there.
-    Rounding can leave a coordinate at exactly 1.0 after one pass, so the
-    reduction repeats until its shifts vanish.  Returns the next state."""
+    x - floor(x) is never negative, but rounding can leave it at exactly
+    1.0 (x = -1e-20), so a pass repeats only while some coordinate is at
+    least 1.0; x - f is x + (-f) bit for bit, and subtracting a zero floor
+    changes nothing.  Returns the next state."""
     if config.sc.step != 1:
         raise ValueError("advance steps a torus walk only; walk config.quotient(0)")
     x = np.take(config.shifts, gen_idx, axis=0)
     x += t
     for _ in range(4):
-        m = -np.floor(x)
-        if not m.any():
+        x -= np.floor(x)
+        if x.max(initial=0.0) < 1.0:
             return x
-        x += m
     raise AssertionError("torus reduction did not converge")
 
 
@@ -405,6 +406,10 @@ def tame_decay_fit(
     times = sorted(set(int(n) for n in times))
     if len(times) < 3:
         raise ValueError("need at least three times for a slope")
+    if times[0] < 1:
+        raise ValueError(f"times must be at least 1, got {times[0]}")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     entries = gap_profile(config, radius)
     bad = [e.lam for e in entries if e.resonant]
     if bad:

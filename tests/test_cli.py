@@ -277,6 +277,7 @@ def test_clt_gate(capsys):
         (["gap", "--preset", "golden-heisenberg", "--radius", "0"], "radius"),
         (["certify", "heisenberg", "-m", "2", "--budget", "-1"], "budget"),
         (["words", "heisenberg", "-p", "1", "--budget", "0"], "budget"),
+        (["lemma-a1", "--grid", "0"], "grid"),
     ],
 )
 def test_bad_sizes_and_budgets_are_usage_errors(capsys, argv, name):

@@ -5,6 +5,7 @@ import sys
 from concurrent import futures
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import nilwalk
@@ -12,6 +13,7 @@ from nilwalk import catalog
 from nilwalk.lie_core import LieVector
 from nilwalk.stats import (
     ResonanceError,
+    _clt_chunk,
     closed_form_sigma,
     clt_experiment,
     lemma_a1_check,
@@ -20,6 +22,8 @@ from nilwalk.walk import (
     CHUNK,
     Character,
     golden_heisenberg_config,
+    sample_paths,
+    simulated_walk,
     transfer_eigenvalue,
     walk_config,
 )
@@ -57,6 +61,87 @@ def test_lazy_walks_have_half_variance():
     for lam in ((1, 0, 0), (0, 1, 0), (3, -2, 0)):
         c, _ = transfer_eigenvalue(cfg, Character(lam))
         assert closed_form_sigma(c) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
+def central_middle_config():
+    """Heisenberg walk whose middle generator (0, 0, 1/2) is central, so
+    its torus shift is zero while the other two move."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    return walk_config(
+        catalog.heisenberg(),
+        [
+            LieVector([F(phi), F(math.sqrt(2.0) - 1.0), F(0)]),
+            LieVector([F(0), F(0), F(1, 2)]),
+            LieVector([F(math.sqrt(3.0) - 1.0), F(-1, 3), F(1, 5)]),
+        ],
+        [F(1, 4), F(1, 2), F(1, 4)],
+    )
+
+
+def moving_config():
+    """Heisenberg walk in which no generator has a zero torus shift."""
+    return walk_config(
+        catalog.heisenberg(),
+        [
+            LieVector([F(math.sqrt(5.0) - 2.0), F(1, 3), F(0)]),
+            LieVector([F(-1, 7), F(math.sqrt(2.0) - 1.0), F(1, 2)]),
+        ],
+        [F(2, 5), F(3, 5)],
+    )
+
+
+def _reference_clt_chunk(config, char, w, N, size, rng):
+    """The CLT chunk that evaluates chi on every proposal prev + shift."""
+    pfloat = np.asarray([float(p) for p in config.probs])
+    path_sum = np.zeros(size)
+    q_total = 0.0
+    for prev, t in sample_paths(config, size, rng, N):
+        b1 = np.zeros(size)
+        b2 = np.zeros(size)
+        for p, shift in zip(pfloat, config.shifts):
+            b = np.real(w * char.values(prev + shift))
+            b1 += p * b
+            b2 += p * b * b
+        q_total += float(np.sum(b2 - b1 * b1))
+        path_sum += np.real(char.values(t))
+    return path_sum / math.sqrt(N), q_total
+
+
+@pytest.mark.parametrize(
+    "make, lam, moving",
+    [
+        (golden_heisenberg_config, (1, 0, 0), 1),
+        (central_middle_config, (2, -1, 0), 2),
+        (moving_config, (1, 1, 0), 2),
+    ],
+)
+def test_clt_chunk_reuses_held_value_bitwise(make, lam, moving):
+    """A zero-shift generator reuses the state's value from the step
+    before; path sums and increment variances stay bit for bit those of
+    evaluating every proposal, with one exponential per moving generator
+    and one for the state."""
+    sim, (char,) = simulated_walk(make(), [Character(lam)])
+    c, _ = transfer_eigenvalue(sim, char)
+    w = 1.0 / (1.0 - c)
+    N, size = 40, 1000
+    calls = []
+    values = char.values
+
+    def counted(t):
+        calls.append(len(t))
+        return values(t)
+
+    for seed in (1, 2):
+        want = _reference_clt_chunk(sim, char, w, N, size, np.random.default_rng(seed))
+        calls.clear()
+        char.values = counted
+        try:
+            got = _clt_chunk(sim, char, w, N, size, np.random.default_rng(seed))
+        finally:
+            del char.values
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert len(calls) == 1 + N * (moving + 1)
 
 
 def test_clt_iid_control():
@@ -129,6 +214,12 @@ def test_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("grid", [1, 0, -5])
+def test_lemma_needs_both_endpoints(grid):
+    with pytest.raises(ValueError, match="grid must be at least 2"):
+        lemma_a1_check(grid=grid)
 
 
 def test_lemma_quadratic_cosine_bound():

@@ -260,6 +260,45 @@ def test_advance_repeats_reduction_off_the_right_edge():
     assert out.tolist() == [[0.0], [np.nextafter(1.0, 0.0)]]
 
 
+def _two_pass_advance(config, t, gen_idx):
+    """The torus step that adds -floor until a pass adds nothing."""
+    x = np.take(config.shifts, gen_idx, axis=0)
+    x += t
+    for _ in range(4):
+        m = -np.floor(x)
+        if not m.any():
+            return x
+        x += m
+    raise AssertionError("torus reduction did not converge")
+
+
+def test_one_pass_advance_matches_two_pass_bitwise():
+    tiny, below_one = -1e-20, np.nextafter(1.0, 0.0)
+    gens = [(0, 0), (F(1, 2), F(tiny)), (F(5, 4), F(-PHI)), (F(-1, 2), F(1, 4)), (F(-3), F(7, 4))]
+    cfg = walk_config(catalog.abelian(2), [LieVector(list(map(F, g))) for g in gens], [F(1, 5)] * 5)
+    rows = [
+        ((tiny, below_one), 0),  # t itself needs a second pass in column 0
+        ((0.1, 0.2), 0),  # no reduction at all
+        ((0.5, 0.0), 1),  # lands exactly on 1.0, and -1e-20 in column 1
+        ((0.75, 0.25), 2),  # lands exactly on 2.0; a negative shift
+        ((0.75, 0.0), 3),  # 0.25 after a negative shift
+        ((0.0, below_one), 4),  # -3.0, and 7/4 + nextafter(1, 0)
+        ((below_one, tiny), 3),
+        ((0.5, 0.5), 3),  # exactly 0.0 after a negative shift
+    ]
+    t = np.array([r for r, _ in rows])
+    idx = np.array([j for _, j in rows])
+    rng = np.random.default_rng(11)
+    t = np.concatenate([t, rng.random((1000, 2)), rng.choice([0.0, 0.25, 0.5, 0.75, tiny, below_one], (1000, 2))])
+    idx = np.concatenate([idx, rng.integers(0, len(gens), 2000)])
+    want = _two_pass_advance(cfg, t, idx)
+    got = advance(cfg, t, idx)
+    assert got.tobytes() == want.tobytes()
+    assert got[:4].tolist() == [[0.0, below_one], [0.1, 0.2], [0.0, 0.0], [0.0, 0.25 - PHI + 1.0]]
+    assert ((got >= 0.0) & (got < 1.0)).all()
+    assert advance(cfg, t[:0], idx[:0]).shape == (0, 2)
+
+
 @pytest.mark.parametrize(
     "probs",
     [(F(1, 2), F(1, 2)), (F(1, 3),) * 3, (F(1, 10), F(7, 10), F(1, 5)), (F(1, 7), F(6, 7))],
@@ -421,3 +460,17 @@ def test_decay_needs_three_times():
     cfg = circle_config(0, F(PHI))
     with pytest.raises(ValueError):
         tame_decay_fit(cfg, r=2.0, radius=4, times=[2, 4], grid=64)
+
+
+@pytest.mark.parametrize("times", [[0, 4, 8], [-2, 4, 8]])
+def test_decay_needs_positive_times(times):
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match="times must be at least 1"):
+        tame_decay_fit(cfg, r=2.0, radius=4, times=times, grid=64)
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_decay_needs_positive_grid(grid):
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match="grid must be at least 1"):
+        tame_decay_fit(cfg, r=2.0, radius=4, times=[2, 4, 8], grid=grid)
