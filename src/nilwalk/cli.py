@@ -315,6 +315,8 @@ def cmd_words(args):
     sc = parse_algebra(args.algebra)
     if args.generator:
         gens = parse_generators(sc, args.generator)
+    elif args.m < 1:
+        raise ValueError(f"m must be at least 1, got {args.m}")
     else:
         gens = [LieVector.basis(sc.dim, i) for i in range(args.m)]
     res = nice_pair_search(

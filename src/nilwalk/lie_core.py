@@ -90,6 +90,8 @@ class LieVector:
 
     @classmethod
     def basis(cls, dim, i):
+        if not 0 <= i < dim:
+            raise ValueError(f"basis index {i} is outside 0..{dim - 1}")
         return cls._of([int(j == i) for j in range(dim)], 1)
 
     @property

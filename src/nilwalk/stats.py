@@ -10,10 +10,10 @@ bounded boundary term.  The limit variance has the closed form
 and can also be estimated path-wise from the conditional increment
 variance q_n = sum_j p_j B(g_j x_{n-1})^2 - (sum_j p_j B(g_j x_{n-1}))^2;
 clt_experiment measures both and runs a Kolmogorov-Smirnov comparison of
-the empirical S_N distribution against the predicted normal.  The
-proposal values B(g_j x_(n-1)) come from chi at x_(n-1) + shift_j on the
-abelianized torus; a generator with zero shift reuses chi(x_(n-1)),
-computed for S_N at the step before, which is the same float bit for bit.
+the empirical S_N distribution against the predicted normal.  Paths run
+on the config's level-0 coordinates (the abelianized torus), where the
+proposal values B(g_j x_(n-1)) come from chi at x_(n-1) + shift_j; a
+zero-shift generator reuses chi(x_(n-1)) from the step before, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .walk import (
     WalkConfig,
     run_chunks,
     sample_paths,
-    simulated_walk,
     transfer_eigenvalue,
 )
 
@@ -82,7 +81,7 @@ def _clt_chunk(config, char, w, N, size, rng):
     still = [not shift.any() for shift in config.shifts]
     path_sum = np.zeros(size)
     q_total = 0.0
-    held = char.values(np.zeros((size, config.dim)))
+    held = char.values(np.zeros((size, len(char.lam))))
     for prev, t in sample_paths(config, size, rng, N):
         # conditional variance of the increment that led to t
         b1 = np.zeros(size)
@@ -106,20 +105,20 @@ def clt_experiment(
     S_N sample with Normal(0, sigma_model); sigma_martingale averages
     the conditional increment variances over all paths and steps, which
     converges to the same limit when the walk equidistributes.  As in
-    correlation_sweep, the character is validated and the paths run on
-    the abelianized torus.
+    correlation_sweep, the paths run on the abelianized torus, once
+    transfer_eigenvalue has validated the character.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if trials < 100:
         raise ValueError("too few trials for a distributional test")
-    sim, (sim_char,) = simulated_walk(config, [char])
     c, resonant = transfer_eigenvalue(config, char)
     if resonant:
         raise ResonanceError(f"character {char.lam} is resonant for these generators")
     sigma_model = closed_form_sigma(c)
 
-    results = run_chunks(_clt_chunk, sim, trials, seed, sim_char, 1.0 / (1.0 - c), N)
+    torus_char = Character(char.lam[: config.shifts.shape[1]])
+    results = run_chunks(_clt_chunk, config, trials, seed, torus_char, 1.0 / (1.0 - c), N)
     samples = np.concatenate([s for s, _ in results])
     q_mean = sum(q for _, q in results) / (trials * N)
     sigma_mart = math.sqrt(max(0.0, q_mean))

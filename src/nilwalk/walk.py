@@ -10,8 +10,9 @@ eigenfunction of the transfer operator, eigenvalue c = sum_j p_j A(g_j).
 
 Correlations are estimated over independent sample paths started at the
 identity, so the mean of A(x_N) should track c^N.  The paths run in
-seeded chunks (run_chunks, shared with the CLT) on that torus, where a
-step adds the chosen generator's shift and drops the integer part.
+seeded chunks (run_chunks, shared with the CLT) on the config's own
+level-0 coordinates, that torus, where a step adds the chosen
+generator's shift and drops the integer part.
 gap_profile lists c over a frequency box, flagging resonant frequencies
 with |c| = 1, and tame_decay_fit measures the sup-norm decay of the
 transfer operator on a Sobolev-weighted character sum.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product as iproduct
@@ -30,7 +31,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .coords import SecondKindSystem
-from .lie_core import LieVector, StructureConstants, quotient_algebra
+from .lie_core import LieVector, StructureConstants
 
 __all__ = [
     "WalkConfig",
@@ -77,7 +78,6 @@ class WalkConfig:
     generators: tuple  # LieVector logs, exact
     probs: tuple  # Fractions, positive, summing to 1
     system: SecondKindSystem
-    _quotients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -97,16 +97,6 @@ class WalkConfig:
         cdf = np.cumsum([float(p) for p in self.probs])
         cdf /= cdf[-1]
         return cdf
-
-    def quotient(self, q: int) -> "WalkConfig":
-        """This walk on g / g^(q+1), built once per level; its coordinates
-        and compiled maps are the first dim(g / g^(q+1)) of the full ones."""
-        if q not in self._quotients:
-            qsc = quotient_algebra(self.sc, q)
-            gens = [LieVector(g.coords[: qsc.dim]) for g in self.generators]
-            full = qsc.dim == self.dim
-            self._quotients[q] = self if full else walk_config(qsc, gens, self.probs)
-        return self._quotients[q]
 
 
 def walk_config(sc: StructureConstants, generators, probs) -> WalkConfig:
@@ -276,16 +266,15 @@ def draw_generators(config: WalkConfig, size, rng):
 
 
 def advance(config: WalkConfig, t, gen_idx):
-    """One step of a torus walk on a batch: row i moves by generator
+    """One step of the walk's image on the abelianized torus, for an
+    (N, n0) batch of level-0 coordinates: row i moves by generator
     gen_idx[i]'s shift and is reduced into the unit box.  The torus law is
     addition, so the step is t + shift less its integer part, bit for bit
-    what the compiled translation and reduction maps compute there.
+    the level 0 of what the compiled translation and reduction maps give.
     x - floor(x) is never negative, but rounding can leave it at exactly
     1.0 (x = -1e-20), so a pass repeats only while some coordinate is at
     least 1.0; x - f is x + (-f) bit for bit, and subtracting a zero floor
     changes nothing.  Returns the next state."""
-    if config.sc.step != 1:
-        raise ValueError("advance steps a torus walk only; walk config.quotient(0)")
     x = np.take(config.shifts, gen_idx, axis=0)
     x += t
     for _ in range(4):
@@ -296,9 +285,9 @@ def advance(config: WalkConfig, t, gen_idx):
 
 
 def sample_paths(config: WalkConfig, size, rng, steps):
-    """Yield (x_(n-1), x_n) for n = 1 .. steps over `size` paths of a
-    torus walk started at the identity."""
-    t = np.zeros((size, config.dim))
+    """Yield (x_(n-1), x_n) for n = 1 .. steps over `size` paths started
+    at the identity, each state the (size, n0) level-0 coordinates."""
+    t = np.zeros((size, config.shifts.shape[1]))
     for _ in range(steps):
         prev, t = t, advance(config, t, draw_generators(config, size, rng))
         yield prev, t
@@ -316,18 +305,18 @@ def run_chunks(work, config: WalkConfig, samples, seed, *args):
     if workers > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker at the first submit: no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             return list(pool.map(job, sizes, rngs))
     return list(map(job, sizes, rngs))
 
 
-def simulated_walk(config: WalkConfig, characters):
-    """Validate every character, then return the walk on the abelianized
-    torus and the characters truncated to it."""
+def torus_characters(config: WalkConfig, characters):
+    """Validate every character and cut its frequency to level 0, the
+    coordinates the walk runs on."""
     for ch in characters:
         validate_observable(config, ch)
-    sim = config.quotient(0)
-    return sim, [Character(ch.lam[: sim.dim]) for ch in characters]
+    return [Character(ch.lam[: config.shifts.shape[1]]) for ch in characters]
 
 
 def _correlation_chunk(config, chars, checkpoints, size, rng):
@@ -355,18 +344,18 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
     All paths start at the identity and are advanced jointly; chunked
     deterministically so the output depends only on the seed, never on
     NILWALK_WORKERS.  After validation the paths run on the abelianized
-    torus, whose coordinates are bit for bit the full walk's level 0.
+    torus: the config's level-0 coordinates, which no higher level moves.
     stderr is the root mean square error of the complex mean (characters
     are unit modulus, so the population second moment is exactly 1).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     chars = list(characters)
-    sim, sim_chars = simulated_walk(config, chars)
+    torus_chars = torus_characters(config, chars)
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive walk times")
-    results = run_chunks(_correlation_chunk, sim, samples, seed, sim_chars, checkpoints)
+    results = run_chunks(_correlation_chunk, config, samples, seed, torus_chars, checkpoints)
     sweep = {}
     for ci, ch in enumerate(chars):
         pts = []
@@ -410,13 +399,14 @@ def tame_decay_fit(
         raise ValueError(f"times must be at least 1, got {times[0]}")
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
+    n0 = config.sc.series.dims[0]
+    # phases and its temporaries hold a complex per grid point and frequency
+    if grid**n0 * ((2 * radius + 1) ** n0 - 1) > 2**24:
+        raise ValueError(f"grid {grid} at radius {radius} needs over 2^24 phases on this torus")
     entries = gap_profile(config, radius)
     bad = [e.lam for e in entries if e.resonant]
     if bad:
         raise ValueError(f"resonant frequencies in the box: {bad[:4]}")
-    n0 = config.sc.series.dims[0]
-    if grid**n0 > 4_000_000:
-        raise ValueError("grid too fine for this torus dimension")
     axes = [np.arange(grid) / grid] * n0
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     lams = np.asarray([e.lam[:n0] for e in entries], dtype=float)

@@ -394,6 +394,8 @@ def nice_pair_search(
         raise ValueError(f"budget must be at least 1, got {budget}")
     q_sc, gens = _in_quotient(sc, p, generators)
     m = len(gens)
+    if m < 1:
+        raise ValueError("need at least one generator")
     n_p = sc.dims[p]
     if tau is None:
         tau = float(n_p)

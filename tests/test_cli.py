@@ -278,11 +278,19 @@ def test_clt_gate(capsys):
         (["certify", "heisenberg", "-m", "2", "--budget", "-1"], "budget"),
         (["words", "heisenberg", "-p", "1", "--budget", "0"], "budget"),
         (["lemma-a1", "--grid", "0"], "grid"),
+        (["words", "heisenberg", "-p", "1", "-m", "0"], "m"),
+        (["words", "heisenberg", "-p", "1", "-m", "-3"], "m"),
     ],
 )
 def test_bad_sizes_and_budgets_are_usage_errors(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and f"error: {name} must be at least" in err
+
+
+def test_more_letters_than_basis_vectors_is_usage_error(capsys):
+    # heisenberg has three basis vectors, so a fourth letter has none
+    code, out, err = run(capsys, "words", "heisenberg", "-p", "1", "-m", "4")
+    assert code == 2 and out == "" and "error: basis index 3 is outside 0..2" in err
 
 
 def test_clt_too_few_trials_is_usage_error(capsys):

@@ -46,6 +46,13 @@ def test_vector_arithmetic():
     assert not any(LieVector.zero(3))
 
 
+@pytest.mark.parametrize("i", [-1, 3, 4])
+def test_basis_index_must_be_in_range(i):
+    # an index outside 0..dim-1 would otherwise give the zero vector
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        LieVector.basis(3, i)
+
+
 def _assert_lowest_terms_and_equal(vectors):
     first = vectors[0]
     for v in vectors:

@@ -23,7 +23,6 @@ from nilwalk.walk import (
     Character,
     golden_heisenberg_config,
     sample_paths,
-    simulated_walk,
     transfer_eigenvalue,
     walk_config,
 )
@@ -120,8 +119,9 @@ def test_clt_chunk_reuses_held_value_bitwise(make, lam, moving):
     before; path sums and increment variances stay bit for bit those of
     evaluating every proposal, with one exponential per moving generator
     and one for the state."""
-    sim, (char,) = simulated_walk(make(), [Character(lam)])
-    c, _ = transfer_eigenvalue(sim, char)
+    cfg = make()
+    c, _ = transfer_eigenvalue(cfg, Character(lam))
+    char = Character(lam[: cfg.shifts.shape[1]])
     w = 1.0 / (1.0 - c)
     N, size = 40, 1000
     calls = []
@@ -132,11 +132,11 @@ def test_clt_chunk_reuses_held_value_bitwise(make, lam, moving):
         return values(t)
 
     for seed in (1, 2):
-        want = _reference_clt_chunk(sim, char, w, N, size, np.random.default_rng(seed))
+        want = _reference_clt_chunk(cfg, char, w, N, size, np.random.default_rng(seed))
         calls.clear()
         char.values = counted
         try:
-            got = _clt_chunk(sim, char, w, N, size, np.random.default_rng(seed))
+            got = _clt_chunk(cfg, char, w, N, size, np.random.default_rng(seed))
         finally:
             del char.values
         assert np.array_equal(got[0], want[0])

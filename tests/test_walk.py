@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent import futures
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -11,6 +12,7 @@ from nilwalk.coords import SecondKindSystem
 from nilwalk.lie_core import LieVector, rescale_levels
 from nilwalk.stats import clt_experiment
 from nilwalk.walk import (
+    CHUNK,
     Character,
     ObservableError,
     abelianized_lambda_box,
@@ -110,7 +112,7 @@ def test_validation_accepts_abelianized_rejects_center(monkeypatch):
         validate_observable(cfg, Character((0, 0, 1)))
 
     # a nonzero frequency on any level >= 1 fails validation on the full
-    # config, so no walk, full or quotient, is ever advanced for it
+    # config, so no walk is ever advanced for it
     def no_step(*args):
         raise AssertionError("advanced a walk for an invalid character")
 
@@ -198,6 +200,13 @@ def test_sweep_and_clt_touch_only_the_torus(monkeypatch):
     cfg = triangular_config(4)
     n0 = cfg.sc.series.dims[0]
     dims = []
+    built = []
+
+    def build(self, sc, _init=SecondKindSystem.__init__):
+        built.append(sc.dim)
+        _init(self, sc)
+
+    monkeypatch.setattr(SecondKindSystem, "__init__", build)
     for name in ("translation_map", "reduction_map"):
 
         def spy(self, arg, _compile=getattr(SecondKindSystem, name)):
@@ -208,8 +217,9 @@ def test_sweep_and_clt_touch_only_the_torus(monkeypatch):
     ch = Character((1, -1, 0, 1) + (0,) * (cfg.dim - n0))
     correlation_sweep(cfg, [ch], [2, 4], samples=64, seed=0)
     clt_experiment(cfg, ch, N=4, trials=100, seed=0)
-    # a torus step is t + shift reduced by floor: no map is compiled
-    assert dims == []
+    # a torus step is t + shift reduced by floor: no map is compiled, and
+    # the walk runs on the config itself, so no second system is built
+    assert dims == [] and built == []
 
 
 def test_transfer_eigenvalue_lazy_walk():
@@ -240,17 +250,14 @@ def test_gap_profile_golden_box():
 
 def test_advance_applies_chosen_generator():
     cfg = golden_heisenberg_config()
-    sim = cfg.quotient(0)
-    assert np.array_equal(sim.shifts, [[0.0, 0.0], [PHI, math.sqrt(2.0) - 1.0]])
+    assert np.array_equal(cfg.shifts, [[0.0, 0.0], [PHI, math.sqrt(2.0) - 1.0]])
     t = np.random.default_rng(5).random((64, 2))
     idx = np.arange(64) % 2
-    out = advance(sim, t, idx)
+    out = advance(cfg, t, idx)
     # t + shift lies in [0, 2), where subtracting the floor is exact
-    x = t + sim.shifts[idx]
+    x = t + cfg.shifts[idx]
     assert np.array_equal(out, x - np.floor(x))
     assert np.array_equal(out[idx == 0], t[idx == 0])  # identity generator
-    with pytest.raises(ValueError, match=r"config\.quotient\(0\)"):
-        advance(cfg, np.zeros((2, 3)), idx[:2])
 
 
 def test_advance_repeats_reduction_off_the_right_edge():
@@ -350,10 +357,7 @@ def _masked_step(cfg, t, gen_idx):
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_quotient_walk_matches_full_walk_bitwise(name):
     cfg = WALKS[name]()
-    sim = cfg.quotient(0)
     n0 = cfg.sc.series.dims[0]
-    assert sim.dim == n0 and cfg.quotient(0) is sim  # built once per level
-    assert cfg.quotient(cfg.sc.step - 1) is cfg
     rng = np.random.default_rng(2024)
     size = 256
     full = np.zeros((size, cfg.dim))
@@ -361,7 +365,7 @@ def test_quotient_walk_matches_full_walk_bitwise(name):
     for _ in range(256):
         idx = rng.choice(2, size=size, p=[0.5, 0.5])
         full = _masked_step(cfg, full, idx)
-        quo = advance(sim, quo, idx)
+        quo = advance(cfg, quo, idx)
     assert np.array_equal(full[:, :n0], quo)
 
 
@@ -392,6 +396,37 @@ def test_correlation_deterministic_and_worker_independent():
         else:
             os.environ["NILWALK_WORKERS"] = old
     assert a == c
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    """A fork pool starts all its workers at once, so it gets no more than
+    there are chunks.  The fake pool maps serially: no process starts."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", SerialPool)
+    cfg = circle_config(0, F(PHI))
+    ch = Character((1,))
+    samples = 2 * CHUNK + 5  # three chunks
+    monkeypatch.delenv("NILWALK_WORKERS", raising=False)
+    want = correlation_sweep(cfg, [ch], [8], samples=samples, seed=3)
+    for workers, cap in (("2", 2), ("3", 3), ("5000", 3)):
+        monkeypatch.setenv("NILWALK_WORKERS", workers)
+        assert correlation_sweep(cfg, [ch], [8], samples=samples, seed=3) == want
+        assert pools[-1] == cap
+    assert len(pools) == 3
 
 
 def test_worker_count_parses_or_rejects(monkeypatch):
@@ -467,6 +502,34 @@ def test_decay_needs_positive_times(times):
     cfg = circle_config(0, F(PHI))
     with pytest.raises(ValueError, match="times must be at least 1"):
         tame_decay_fit(cfg, r=2.0, radius=4, times=times, grid=64)
+
+
+def test_decay_bounds_the_phase_table(monkeypatch):
+    """grid^n0 * |box| complex phases are allocated, so more than 2^24 of
+    them is refused before any eigenvalue is computed."""
+
+    class Reached(Exception):
+        pass
+
+    def profile(*args):
+        raise Reached
+
+    monkeypatch.setattr(walk, "gap_profile", profile)
+    heis, circle = golden_heisenberg_config(), circle_config(0, F(PHI))
+    # radius 10 on the 2-torus has 440 frequencies: 512^2 * 440 and
+    # 196^2 * 440 exceed 2^24, 195^2 * 440 does not
+    for cfg, grid, radius, ok in (
+        (heis, 512, 10, False),
+        (heis, 196, 10, False),
+        (heis, 195, 10, True),
+        (heis, 1449, 1, False),
+        (heis, 1448, 1, True),
+        (circle, 2**23 + 1, 1, False),
+        (circle, 2**23, 1, True),
+    ):
+        want = Reached if ok else ValueError
+        with pytest.raises(want, match=None if ok else f"grid {grid} at radius {radius}"):
+            tame_decay_fit(cfg, r=2.0, radius=radius, times=[2, 4, 8], grid=grid)
 
 
 @pytest.mark.parametrize("grid", [0, -1])

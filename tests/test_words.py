@@ -364,6 +364,11 @@ def test_nice_pair_search_needs_a_budget(budget):
         nice_pair_search(sc, gens, p=1, budget=budget)
 
 
+def test_nice_pair_search_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        nice_pair_search(catalog.heisenberg(), [], p=1)
+
+
 def reference_search(sc, gens, p, tau, q_max, budget):
     """nice_pair_search with every candidate built from scratch by build_lr
     and word_pair_logs, in the same order and with the same best rule."""
