@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -357,3 +358,53 @@ def test_malformed_exact_input_is_usage_error(capsys, tmp_path, doc, argv):
         argv = argv + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+# -- output bytes -----------------------------------------------------------------
+
+# SHA-256 of the stdout of each invocation, and its exit code.  A change
+# to how documents are assembled or serialized must leave these bytes
+# alone; a change that means to alter a document updates its line here.
+STDOUT_SHA256 = [
+    (["check", "heisenberg"], 0,
+     "1b822b270e5a42c629ebecb62f40a105e88b9049eb008f4ea400d6fdda164195"),
+    (["pencil", "heisenberg", "-m", "2", "-p", "1"], 0,
+     "c280679a3c6fa1913c1cf53247d07ec85c4d6daf3141c80852e7d0bfb5e0b170"),
+    (["pencil", "heisenberg", "-m", "2", "-p", "1", "--k", "1,0;0,1"], 0,
+     "e6fd6d0dad6fb15d676f1e81725cc14820952fc95c9eaed7812e75e6ed31ef3e"),
+    (["certify", "heisenberg", "-m", "2", "--verify"], 0,
+     "04639e99356ef8e38b6ef8d4dcd1539f9d006c9318bd156a4666ee4e87bb033d"),
+    (["certify", "example_5_6", "-m", "2", "--budget", "30"], 1,
+     "32bb62fe9f0a332dca36a4af3e868b42401db941c42611512f34477b84a1b1c5"),
+    (["counterexample", "--budget", "12", "--words-budget", "20"], 0,
+     "0071be43ef376806c0db7c4d40d2f731f97bb3b52cc7921d48901400807d7516"),
+    (["words", "heisenberg", "-p", "1", "--generator", "sqrt2,0,0",
+      "--generator", "0,sqrt3,0", "--qmax", "40"], 0,
+     "f9a2b449ab6443bb4fec0caf90a7aa603e713a5c469a3842eee831d8f391cdac"),
+    (["words", "example_5_6", "-p", "3", "--budget", "25", "--qmax", "5"], 1,
+     "a1fe734021c63bd33ceb23a33dc855e236299583be73e3111a3804c6ae4a384c"),
+    (["gap", "--preset", "golden-heisenberg", "--radius", "3"], 0,
+     "9597bd4413dfb2d2fa90e368d03171d5da65420d23e5740cef81221e016fcfae"),
+    (["gap", "--algebra", "heisenberg", "--generator", "1/2,0,0",
+      "--generator", "0,phi,0", "--probs", "1/3,2/3", "--radius", "2"], 0,
+     "43b15cff42cd50836bd024c3ca035b1c0385c0cebebd90d0fe60ec83bc696b78"),
+    (["clt", "--preset", "circle-quarters", "--character", "1", "-N", "128",
+      "--trials", "400", "--seed", "2", "--max-ks", "0.2"], 0,
+     "1f74e2060cebda9942e98782f3391c4f92c58b61b7db466a80dc45ad4081822e"),
+    (["lemma-a1", "--grid", "10001"], 0,
+     "1e41563297982a5be871d38be3f524c6436c0d8db190a38f9026e691760e64e7"),
+    (["correlate", "--preset", "circle-golden", "--character", "1",
+      "--times", "2,8", "--samples", "1000", "--seed", "1"], 0,
+     "0b6ce56f679412ece395291459344eddf3da3bf2848c98e308e68b41be33b021"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    STDOUT_SHA256,
+    ids=[f"{i:02d}-{argv[0]}" for i, (argv, _, _) in enumerate(STDOUT_SHA256)],
+)
+def test_stdout_bytes_are_pinned(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
