@@ -9,6 +9,7 @@ with sorted keys so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -90,10 +91,23 @@ def provenance(args, sc=None):
     return doc
 
 
-def emit(doc, path=None):
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if path:
-        with open(path, "w") as fh:
+def _plain(obj):
+    """JSON form of what json.dumps cannot write: a complex number as
+    {"im", "re"}, a result dataclass as its fields."""
+    if isinstance(obj, complex):
+        return {"im": obj.imag, "re": obj.real}
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def emit(args, doc, sc=None):
+    """Attach the provenance and write the document as sorted JSON to
+    args.json, or to stdout."""
+    doc["provenance"] = provenance(args, sc)
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_plain)
+    if args.json:
+        with open(args.json, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -102,10 +116,6 @@ def emit(doc, path=None):
 def report_elapsed(seconds):
     """Timings go to stderr so the JSON on stdout stays byte-identical."""
     print(f"elapsed_seconds: {seconds:.3f}", file=sys.stderr)
-
-
-def _cnum(z):
-    return {"im": z.imag, "re": z.real}
 
 
 # -- walk config plumbing --------------------------------------------------------
@@ -198,7 +208,7 @@ def cmd_check(args):
     try:
         sc = parse_algebra(args.algebra)
     except LieAlgebraError as e:
-        emit({"ok": False, "error": str(e)}, args.json)
+        emit(args, {"ok": False, "error": str(e)})
         return 1
     rep = check_jacobi(sc)
     doc = {
@@ -207,14 +217,13 @@ def cmd_check(args):
         "step": sc.step,
         "level_dims": list(sc.dims),
         "names": list(sc.names),
-        "provenance": provenance(args, sc),
     }
     if not rep.ok:
         doc["jacobi_violation"] = {
             "triple": [sc.names[i] for i in rep.triple],
             "residual": [str(v) for v in rep.residual],
         }
-    emit(doc, args.json)
+    emit(args, doc, sc)
     return 0 if rep.ok else 1
 
 
@@ -226,7 +235,6 @@ def cmd_pencil(args):
         "level": args.p,
         "identically_zero": pencil.is_identically_zero(),
         "coordinates": [str(c) for c in pencil.coords],
-        "provenance": provenance(args, sc),
     }
     if args.k:
         rows = [
@@ -242,7 +250,7 @@ def cmd_pencil(args):
             "independent": ok,
             "kernel": None if kernel is None else [str(v) for v in kernel],
         }
-    emit(doc, args.json)
+    emit(args, doc, sc)
     return 0
 
 
@@ -252,13 +260,11 @@ def cmd_certify(args):
     cert = certify_greatness(sc, args.m, budget=args.budget, seed=args.seed)
     report_elapsed(time.time() - t0)
     doc = cert.to_json_dict()
-    doc["provenance"] = provenance(args, sc)
     if args.verify:
         doc["reverified"] = cert.verify(sc)
-        if not doc["reverified"]:
-            emit(doc, args.json)
-            return 1
-    emit(doc, args.json)
+    emit(args, doc, sc)
+    if args.verify and not doc["reverified"]:
+        return 1
     if cert.verdict == "great":
         return 0
     if cert.verdict == "degenerate":
@@ -303,9 +309,8 @@ def cmd_counterexample(args):
             "tried": search.tried,
             "all_zero": search.zero_count == search.tried,
         },
-        "provenance": provenance(args, sc),
     }
-    emit(doc, args.json)
+    emit(args, doc, sc)
     return 0 if confirmed else 1
 
 
@@ -327,23 +332,16 @@ def cmd_words(args):
         "found": res.found,
         "tried": res.tried,
         "zero_candidates": res.zero_count,
-        "provenance": provenance(args, sc),
     }
     if res.found:
         doc.update(
-            {
-                "w1": list(res.pair.w1.letters),
-                "w2": list(res.pair.w2.letters),
-                "k_sequence": [list(k) for k in res.pair.k_sequence],
-                "level_vector": list(res.level_vector),
-                "gamma_hat": res.report.gamma_hat,
-                "tau": res.report.tau,
-                "q_max": res.report.q_max,
-                "worst_n": list(res.report.worst_n),
-                "float_error_bound": res.report.float_error_bound,
-            }
+            dataclasses.asdict(res.report),
+            w1=res.pair.w1.letters,
+            w2=res.pair.w2.letters,
+            k_sequence=res.pair.k_sequence,
         )
-    emit(doc, args.json)
+        doc["level_vector"] = doc.pop("vector")  # the same floats as res.level_vector
+    emit(args, doc, sc)
     return 0 if res.found else 1
 
 
@@ -355,21 +353,11 @@ def cmd_gap(args):
     gaps = [1.0 - e.modulus for e in entries]
     doc = {
         "radius": args.radius,
-        "entries": [
-            {
-                "lam": list(e.lam),
-                "norm": e.norm,
-                "eigenvalue": _cnum(e.eigenvalue),
-                "modulus": e.modulus,
-                "resonant": e.resonant,
-            }
-            for e in entries
-        ],
+        "entries": entries,
         "min_gap": min(gaps),
         "resonant_count": sum(e.resonant for e in entries),
-        "provenance": provenance(args, config.sc),
     }
-    emit(doc, args.json)
+    emit(args, doc, config.sc)
     if args.min_gap is not None and doc["min_gap"] < args.min_gap:
         return 1
     return 0
@@ -424,20 +412,7 @@ def cmd_clt(args):
     config = resolve_config(args)
     char = parse_character(args.character, config.dim)
     rep = clt_experiment(config, char, N=args.N, trials=args.trials, seed=args.seed)
-    doc = {
-        "N": rep.N,
-        "trials": rep.trials,
-        "eigenvalue": _cnum(rep.eigenvalue),
-        "sigma_model": rep.sigma_model,
-        "sigma_martingale": rep.sigma_martingale,
-        "sigma_empirical": rep.sigma_empirical,
-        "ks_statistic": rep.ks_statistic,
-        "ks_pvalue": rep.ks_pvalue,
-        "mean": rep.mean,
-        "degenerate": rep.degenerate,
-        "provenance": provenance(args, config.sc),
-    }
-    emit(doc, args.json)
+    emit(args, dataclasses.asdict(rep), config.sc)
     if rep.degenerate:
         return 1
     if args.max_ks is not None and rep.ks_statistic > args.max_ks:
@@ -449,14 +424,7 @@ def cmd_lemma_a1(args):
     from .stats import lemma_a1_check
 
     rep = lemma_a1_check(grid=args.grid)
-    doc = {
-        "ok": rep.ok,
-        "min_residual": rep.min_residual,
-        "argmin": rep.argmin,
-        "grid": rep.grid,
-        "provenance": provenance(args),
-    }
-    emit(doc, args.json)
+    emit(args, dataclasses.asdict(rep))
     return 0 if rep.ok else 1
 
 

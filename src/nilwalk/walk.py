@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 CHUNK = 8192  # fixed sample chunking so results never depend on worker count
+# Largest frequency box, in nonzero frequencies.  Each one is a Character
+# and, in gap_profile, a GapEntry; 28,560 of them (n0 = 4, radius 6) took
+# 113 MB peak RSS through `nilwalk gap`.
+MAX_FREQUENCIES = 1 << 17
 
 
 def worker_count():
@@ -218,6 +222,12 @@ def abelianized_lambda_box(sc: StructureConstants, radius: int):
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     n0 = sc.series.dims[0]
+    count = (2 * radius + 1) ** n0 - 1
+    if count > MAX_FREQUENCIES:
+        raise ValueError(
+            f"radius {radius} on the n0={n0} torus gives {count} frequencies,"
+            f" over the cap of {MAX_FREQUENCIES}"
+        )
     pad = (0,) * (sc.dim - n0)
     heads = iproduct(range(-radius, radius + 1), repeat=n0)
     box = [Character(head + pad) for head in heads if any(head)]

@@ -288,6 +288,19 @@ def test_bad_sizes_and_budgets_are_usage_errors(capsys, argv, name):
     assert code == 2 and out == "" and f"error: {name} must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["gap", "--algebra", "abelian:4", "--generator", "0.1,0.2,0.3,0.4"], "radius"),
+        (["gap", "--preset", "golden-heisenberg", "--radius", "300"], "radius"),
+        (["lemma-a1", "--grid", "16777217"], "grid"),
+    ],
+)
+def test_oversized_inputs_are_usage_errors(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {name} ")
+
+
 def test_more_letters_than_basis_vectors_is_usage_error(capsys):
     # heisenberg has three basis vectors, so a fourth letter has none
     code, out, err = run(capsys, "words", "heisenberg", "-p", "1", "-m", "4")
@@ -408,3 +421,25 @@ def test_stdout_bytes_are_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _affine_json():
+    """The non-nilpotent affine algebra [e1, e2] = e2."""
+    return {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": [{"k": 2, "num": 1, "den": 1}]}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _, _ in STDOUT_SHA256 if argv[0] != "correlate"] + [["check"]],
+    ids=lambda argv: argv[0],
+)
+def test_every_json_document_carries_provenance(capsys, tmp_path, argv):
+    if argv == ["check"]:
+        path = tmp_path / "affine.json"
+        path.write_text(json.dumps(_affine_json()))
+        argv = argv + [str(path)]
+    _, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert doc["provenance"]["command"] == argv[0]
+    if argv[0] == "check" and not doc["ok"]:
+        assert doc["error"] == "series stabilized at dimension 1"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent import futures
 from fractions import Fraction
 
@@ -220,6 +221,18 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_lemma_needs_both_endpoints(grid):
     with pytest.raises(ValueError, match="grid must be at least 2"):
         lemma_a1_check(grid=grid)
+
+
+def test_lemma_grid_is_capped():
+    # at 48 bytes per point, the refused grid would need about 800 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid must be at most 16777216, got 16777217"):
+            lemma_a1_check(grid=2**24 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lemma_quadratic_cosine_bound():

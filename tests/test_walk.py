@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent import futures
 from fractions import Fraction
 from itertools import product as iproduct
@@ -468,6 +469,34 @@ def test_frequency_box_needs_positive_radius(radius):
         gap_profile(cfg, radius)
     with pytest.raises(ValueError, match="radius must be at least 1"):
         tame_decay_fit(cfg, r=2.0, radius=radius, times=[2, 4, 8], grid=64)
+
+
+def test_frequency_box_is_capped(monkeypatch):
+    # abelian(4) at radius 20 asks for 41^4 - 1 frequencies, and grid 1 at
+    # radius 2000 passes the decay fit's phase bound with 4001^2 - 1
+    oversized = [
+        (lambda: abelianized_lambda_box(catalog.abelian(4), 20),
+         r"radius 20 on the n0=4 torus gives 2825760 frequencies"),
+        (lambda: gap_profile(circle_config(0, F(PHI)), 65537),
+         r"radius 65537 on the n0=1 torus gives 131074 frequencies"),
+        (lambda: tame_decay_fit(golden_heisenberg_config(), 2.0, 2000, [2, 4, 8], grid=1),
+         r"radius 2000 on the n0=2 torus gives 16008000 frequencies"),
+    ]
+    for call, message in oversized:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # the cap admits a box of exactly its size
+    monkeypatch.setattr(walk, "MAX_FREQUENCIES", 24)
+    assert len(abelianized_lambda_box(catalog.heisenberg(), 2)) == 24
+    monkeypatch.setattr(walk, "MAX_FREQUENCIES", 23)
+    with pytest.raises(ValueError, match="over the cap of 23"):
+        abelianized_lambda_box(catalog.heisenberg(), 2)
 
 
 # -- operator decay ---------------------------------------------------------------
