@@ -9,8 +9,8 @@ mistyped entry.
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -25,7 +25,6 @@ __all__ = [
     "example_3_2",
     "example_5_6",
     "random_step3",
-    "CatalogEntry",
     "CATALOG",
     "build",
     "default_corpus",
@@ -293,39 +292,35 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
     raise RuntimeError(f"no step-3 algebra with dims ({n0},{n1},{n2}) after 200 draws")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    factory: object
-    defaults: tuple
-    description: str
-
-
+# name -> (constructor, the integer arguments a bare name stands for)
 CATALOG = {
-    "abelian": CatalogEntry("abelian", abelian, (3,), "R^n with zero bracket"),
-    "heisenberg": CatalogEntry("heisenberg", heisenberg, (), "[X1,X2] = X3"),
-    "quasi_abelian": CatalogEntry(
-        "quasi_abelian", quasi_abelian, ((3, 2),), "shift action on columns"
-    ),
-    "filiform": CatalogEntry("filiform", filiform, (5,), "maximal step for its dimension"),
-    "triangular": CatalogEntry(
-        "triangular", triangular, (3,), "strictly upper triangular matrices"
-    ),
-    "example_3_2": CatalogEntry(
-        "example_3_2", example_3_2, (), "dim 5, step 3, dims (2,1,2)"
-    ),
-    "example_5_6": CatalogEntry(
-        "example_5_6", example_5_6, (), "dim 15, step 4, 4-great but 2-degenerate at level 3"
-    ),
+    "abelian": (abelian, (3,)),
+    "heisenberg": (heisenberg, ()),
+    "quasi_abelian": (lambda *heights: quasi_abelian(heights), (3, 2)),
+    "filiform": (filiform, (5,)),
+    "triangular": (triangular, (3,)),
+    "example_3_2": (example_3_2, ()),
+    "example_5_6": (example_5_6, ()),
+    "random_step3": (random_step3, (2, 1, 1, 0)),
 }
 
 
 def build(name: str, *args) -> StructureConstants:
-    """Construct a catalog algebra by name, using defaults if no args."""
+    """Construct a catalog algebra from its name and integer arguments,
+    or from its defaults when none are given."""
     if name not in CATALOG:
-        raise KeyError(f"unknown catalog algebra {name!r}")
-    ent = CATALOG[name]
-    return ent.factory(*(args if args else ent.defaults))
+        known = ", ".join(sorted(CATALOG))
+        raise KeyError(f"unknown algebra {name!r}; catalog: {known}, or a file path")
+    constructor, defaults = CATALOG[name]
+    args = args or defaults
+    try:
+        inspect.signature(constructor).bind(*args)
+    except TypeError:
+        usage = f"{name}:{','.join(map(str, defaults))}" if defaults else name
+        raise ValueError(
+            f"wrong number of arguments for {name} ({len(args)}); write it as {usage}"
+        ) from None
+    return constructor(*args)
 
 
 def default_corpus():

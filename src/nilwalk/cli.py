@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, catalog
+from . import __version__, catalog, coords, stats, walk, words
 from .lie_core import (
     LieAlgebraError,
     LieVector,
@@ -28,9 +28,8 @@ from .lie_core import (
 )
 from .pencil import build_pencil, certify_greatness, linearly_independent, pencil_at_k
 
-# The exact-side commands (check, pencil, certify) never touch a float, so
-# the numpy-backed modules (coords, walk, stats, words) are imported inside
-# the commands that use them.
+# coords, stats, walk and words are the package's lazy modules: numpy loads
+# at a command's first use of one, so check, pencil and certify never load it.
 
 _SPECIAL_SCALARS = {
     "phi": (math.sqrt(5.0) - 1.0) / 2.0,
@@ -57,21 +56,11 @@ def parse_scalar(tok: str) -> Fraction:
 
 
 def parse_algebra(ref: str):
-    """Catalog name (with optional :args) or a path to a JSON file."""
+    """Catalog name (with optional :a,b,... integers) or a path to a JSON file."""
     if os.path.exists(ref):
         return load_algebra(ref)
     name, _, rest = ref.partition(":")
     args = tuple(int(x) for x in rest.split(",")) if rest else ()
-    if name == "random_step3":
-        if len(args) != 4:
-            raise ValueError("random_step3 needs n0,n1,n2,seed")
-        return catalog.random_step3(*args)
-    if name not in catalog.CATALOG:
-        known = ", ".join(sorted(catalog.CATALOG))
-        raise KeyError(f"unknown algebra {name!r}; catalog: {known}, or a file path")
-    ent = catalog.CATALOG[name]
-    if args and len(ent.defaults) == 1 and isinstance(ent.defaults[0], tuple):
-        return catalog.build(name, args)
     return catalog.build(name, *args)
 
 
@@ -121,72 +110,59 @@ def report_elapsed(seconds):
 # -- walk config plumbing --------------------------------------------------------
 
 
-def _preset_config(name):
-    from .walk import golden_heisenberg_config, walk_config
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    if name == "golden-heisenberg":
-        return golden_heisenberg_config()
-    if name == "circle-golden":
-        sc = catalog.abelian(1)
-        return walk_config(
-            sc,
-            [LieVector.zero(1), LieVector([Fraction(phi)])],
-            [Fraction(1, 2), Fraction(1, 2)],
-        )
-    if name == "circle-quarters":
-        sc = catalog.abelian(1)
-        return walk_config(
-            sc,
-            [LieVector([Fraction(1, 4)]), LieVector([Fraction(3, 4)])],
-            [Fraction(1, 2), Fraction(1, 2)],
-        )
-    raise KeyError(
-        f"unknown preset {name!r}; "
-        "try golden-heisenberg, circle-golden or circle-quarters"
-    )
+# name -> (algebra, generators), stepped with equal probabilities
+PRESETS = {
+    "golden-heisenberg": ("heisenberg", ["0,0,0", "phi,sigma,0"]),
+    "circle-golden": ("abelian:1", ["0", "phi"]),
+    "circle-quarters": ("abelian:1", ["1/4", "3/4"]),
+}
 
 
 def parse_generators(sc, tokens):
     """LieVectors from --generator strings of sc.dim comma separated scalars."""
     gens = []
     for g in tokens:
-        coords = [parse_scalar(t) for t in g.split(",")]
-        if len(coords) != sc.dim:
+        xs = [parse_scalar(t) for t in g.split(",")]
+        if len(xs) != sc.dim:
             raise ValueError(f"generator needs {sc.dim} coordinates: {g!r}")
-        gens.append(LieVector(coords))
+        gens.append(LieVector(xs))
     return gens
 
 
 def resolve_config(args):
-    from .walk import walk_config
-
-    if getattr(args, "preset", None):
-        return _preset_config(args.preset)
-    if not getattr(args, "algebra", None):
+    """The walk of --preset, which ignores --algebra, --generator and
+    --probs, or of those three options."""
+    algebra, generators, probs = args.algebra, args.generator or [], args.probs
+    if args.preset:
+        if args.preset not in PRESETS:
+            raise KeyError(
+                f"unknown preset {args.preset!r}; "
+                "try golden-heisenberg, circle-golden or circle-quarters"
+            )
+        algebra, generators = PRESETS[args.preset]
+        probs = None
+    elif not algebra:
         raise ValueError("give either --preset or --algebra with --generator")
-    sc = parse_algebra(args.algebra)
-    gens = parse_generators(sc, args.generator or [])
+    sc = parse_algebra(algebra)
+    gens = parse_generators(sc, generators)
     if not gens:
         raise ValueError("at least one --generator is required")
-    if args.probs:
+    if probs:
         try:
-            probs = [Fraction(t) for t in args.probs.split(",")]
+            probs = [Fraction(t) for t in probs.split(",")]
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in --probs {args.probs!r}") from None
+            raise ValueError(f"zero denominator in --probs {probs!r}") from None
     else:
         probs = [Fraction(1, len(gens))] * len(gens)
-    return walk_config(sc, gens, probs)
+    return walk.walk_config(sc, gens, probs)
 
 
 def parse_character(tok: str, dim: int):
-    from .walk import Character
-
     lam = [int(x) for x in tok.split(",")]
     if len(lam) > dim:
         raise ValueError(f"frequency has {len(lam)} entries but dim is {dim}")
     lam += [0] * (dim - len(lam))
-    return Character(lam)
+    return walk.Character(lam)
 
 
 def _add_config_opts(sp):
@@ -281,14 +257,12 @@ def cmd_counterexample(args):
     short word pairs confirms that no candidate produces a nonzero
     level-3 displacement.
     """
-    from .words import nice_pair_search
-
     sc = catalog.example_5_6()
     t0 = time.time()
     cert2 = certify_greatness(sc, 2, budget=args.budget, seed=args.seed)
     cert4 = certify_greatness(sc, 4, budget=args.budget, seed=args.seed)
     gens = [LieVector.basis(sc.dim, 0), LieVector.basis(sc.dim, 1)]
-    search = nice_pair_search(sc, gens, p=3, budget=args.words_budget, q_max=10)
+    search = words.nice_pair_search(sc, gens, p=3, budget=args.words_budget, q_max=10)
     report_elapsed(time.time() - t0)
     lvl3 = cert2.level(3)
     confirmed = (
@@ -315,8 +289,6 @@ def cmd_counterexample(args):
 
 
 def cmd_words(args):
-    from .words import nice_pair_search
-
     sc = parse_algebra(args.algebra)
     if args.generator:
         gens = parse_generators(sc, args.generator)
@@ -324,7 +296,7 @@ def cmd_words(args):
         raise ValueError(f"m must be at least 1, got {args.m}")
     else:
         gens = [LieVector.basis(sc.dim, i) for i in range(args.m)]
-    res = nice_pair_search(
+    res = words.nice_pair_search(
         sc, gens, p=args.p, tau=args.tau, q_max=args.qmax, budget=args.budget
     )
     doc = {
@@ -346,10 +318,8 @@ def cmd_words(args):
 
 
 def cmd_gap(args):
-    from .walk import gap_profile
-
     config = resolve_config(args)
-    entries = gap_profile(config, args.radius)
+    entries = walk.gap_profile(config, args.radius)
     gaps = [1.0 - e.modulus for e in entries]
     doc = {
         "radius": args.radius,
@@ -364,14 +334,12 @@ def cmd_gap(args):
 
 
 def cmd_correlate(args):
-    from .walk import correlation_sweep, transfer_eigenvalue
-
     config = resolve_config(args)
     char = parse_character(args.character, config.dim)
     times = [int(x) for x in args.times.split(",")]
-    sweep = correlation_sweep(config, [char], times, args.samples, args.seed)
+    sweep = walk.correlation_sweep(config, [char], times, args.samples, args.seed)
     points = sweep[char]
-    c, _ = transfer_eigenvalue(config, char)
+    c, _ = walk.transfer_eigenvalue(config, char)
     # the header is the provenance as key=value tokens, values in compact JSON
     prov = provenance(args, config.sc)
     digest = prov.pop("algebra_sha256")
@@ -407,11 +375,9 @@ def cmd_correlate(args):
 
 
 def cmd_clt(args):
-    from .stats import clt_experiment
-
     config = resolve_config(args)
     char = parse_character(args.character, config.dim)
-    rep = clt_experiment(config, char, N=args.N, trials=args.trials, seed=args.seed)
+    rep = stats.clt_experiment(config, char, N=args.N, trials=args.trials, seed=args.seed)
     emit(args, dataclasses.asdict(rep), config.sc)
     if rep.degenerate:
         return 1
@@ -421,9 +387,7 @@ def cmd_clt(args):
 
 
 def cmd_lemma_a1(args):
-    from .stats import lemma_a1_check
-
-    rep = lemma_a1_check(grid=args.grid)
+    rep = stats.lemma_a1_check(grid=args.grid)
     emit(args, dataclasses.asdict(rep))
     return 0 if rep.ok else 1
 
@@ -530,23 +494,15 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the except tuple is evaluated, loading numpy, only once something raised
     try:
         return args.func(args)
-    except _input_errors() as e:  # evaluated only once something raised
+    except (KeyError, ValueError, OSError, LieAlgebraError, coords.LatticeError,
+            walk.ObservableError, stats.ResonanceError) as e:
         # str() of a KeyError is the repr of its argument, quotes and all
         msg = e.args[0] if isinstance(e, KeyError) and len(e.args) == 1 else e
         print(f"error: {msg}", file=sys.stderr)
         return 2
-
-
-def _input_errors():
-    """The exceptions that mean bad input, exit code 2.  The walk-side
-    ones load numpy, so they are looked up only on the error path."""
-    from .coords import LatticeError
-    from .stats import ResonanceError
-    from .walk import ObservableError
-
-    return (KeyError, ValueError, OSError, LieAlgebraError, LatticeError, ObservableError, ResonanceError)
 
 
 if __name__ == "__main__":

@@ -91,9 +91,18 @@ class WalkConfig:
     def shifts(self):
         """(J, n0) floats: each generator's level-0 coordinates, the shift
         by which it translates the abelianized torus (log and second-kind
-        coordinates coincide there)."""
+        coordinates coincide there).  A coordinate too large for a float
+        is a ValueError naming its generator."""
         n0 = self.sc.series.dims[0]
-        return np.array([[float(c) for c in g.coords[:n0]] for g in self.generators])
+        rows = []
+        for j, g in enumerate(self.generators):
+            try:
+                rows.append([float(c) for c in g.coords[:n0]])
+            except OverflowError:
+                raise ValueError(
+                    f"generator {j + 1} has a level-0 coordinate too large for a float"
+                ) from None
+        return np.array(rows)
 
     @cached_property
     def cdf(self):

@@ -335,8 +335,10 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
 
 
 def default_q_max(dim: int) -> int:
-    """The q_max a search uses when none is given; it keeps the scan
-    inside MAX_SCAN_POINTS."""
+    """The q_max a search uses when none is given.  Its scan of
+    (2 q_max + 1)^dim points stays inside MAX_SCAN_POINTS up to dim 3;
+    from dim 4 on, 201^4 > 2^26, so diophantine_estimate refuses it and
+    the search needs a smaller q_max (--qmax on the command line)."""
     return 10_000 if dim == 1 else 100
 
 
@@ -386,7 +388,7 @@ def nice_pair_search(
     length of the call, so a candidate costs one level step, one product
     for W1 W2^(-1) and one scan of the grid that diophantine_estimate
     caches.  Without q_max, the scan uses default_q_max(d), which stays
-    inside MAX_SCAN_POINTS.
+    inside MAX_SCAN_POINTS only up to d = 3.
     """
     if not (1 <= p < sc.step):
         raise ValueError(f"level must be in 1..{sc.step - 1}")
@@ -418,7 +420,12 @@ def nice_pair_search(
         if not any(block):
             zeros += 1
             continue
-        vec = tuple(float(x) for x in block)
+        try:
+            vec = tuple(float(x) for x in block)
+        except OverflowError:
+            raise ValueError(
+                f"a level-{p} displacement has a coordinate too large for a float"
+            ) from None
         rep = diophantine_estimate(vec, tau, q_max)
         if best is None or rep.gamma_hat > best[0]:
             best = (rep.gamma_hat, seeds, rep, vec)

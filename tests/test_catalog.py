@@ -120,6 +120,18 @@ def test_unknown_name():
         catalog.build("borel")
 
 
+def test_build_checks_the_argument_count():
+    # the count is checked before the constructor runs, naming the entry
+    with pytest.raises(ValueError, match=r"for filiform \(2\); write it as filiform:5$"):
+        catalog.build("filiform", 6, 7)
+    with pytest.raises(ValueError, match=r"for heisenberg \(1\); write it as heisenberg$"):
+        catalog.build("heisenberg", 3)
+    with pytest.raises(ValueError, match="for random_step3 "):
+        catalog.build("random_step3", 2, 1)
+    assert catalog.build("quasi_abelian", 2, 2, 3) == catalog.quasi_abelian((2, 2, 3))
+    assert catalog.build("random_step3").dims == (2, 1, 1)
+
+
 def test_default_corpus_labels_unique():
     labels = [label for label, _ in catalog.default_corpus()]
     assert len(labels) == len(set(labels))

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,10 @@ import sys
 import pytest
 
 import nilwalk
-from nilwalk.cli import main, parse_algebra, parse_scalar
+from nilwalk import catalog
+from nilwalk.cli import main, parse_algebra, parse_scalar, resolve_config
+from nilwalk.lie_core import LieVector
+from nilwalk.walk import golden_heisenberg_config, walk_config
 from fractions import Fraction
 
 
@@ -83,6 +88,53 @@ def test_parse_algebra_specs(tmp_path):
     path = tmp_path / "alg.json"
     save_algebra(catalog.example_3_2(), path)
     assert parse_algebra(str(path)).dims == (2, 1, 2)
+
+
+def test_every_catalog_name_parses_bare_and_with_its_defaults():
+    for name, (_, defaults) in catalog.CATALOG.items():
+        expected = catalog.build(name)
+        assert parse_algebra(name) == expected, name
+        spelled = f"{name}:{','.join(map(str, defaults))}" if defaults else name
+        assert parse_algebra(spelled) == expected, spelled
+    assert parse_algebra("random_step3") == catalog.random_step3(2, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "ref, name",
+    [("filiform:6,7", "filiform"), ("heisenberg:3", "heisenberg"), ("random_step3:2,1", "random_step3")],
+)
+def test_wrong_argument_count_is_usage_error(capsys, ref, name):
+    code, out, err = run(capsys, "check", ref)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: wrong number of arguments for {name} ")
+
+
+def _preset_args(preset, **given):
+    opts = dict(preset=preset, algebra=None, generator=None, probs=None)
+    return argparse.Namespace(**{**opts, **given})
+
+
+def _same_walk(a, b):
+    return (a.sc, a.generators, a.probs) == (b.sc, b.generators, b.probs)
+
+
+def test_presets_build_their_configs():
+    golden = golden_heisenberg_config()
+    assert _same_walk(resolve_config(_preset_args("golden-heisenberg")), golden)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    half = [Fraction(1, 2)] * 2
+    circles = {
+        "circle-golden": [LieVector.zero(1), LieVector([Fraction(phi)])],
+        "circle-quarters": [LieVector([Fraction(1, 4)]), LieVector([Fraction(3, 4)])],
+    }
+    for preset, gens in circles.items():
+        expected = walk_config(catalog.abelian(1), gens, half)
+        assert _same_walk(resolve_config(_preset_args(preset)), expected), preset
+    # a preset ignores the explicit walk options
+    ignored = _preset_args(
+        "golden-heisenberg", algebra="abelian:1", generator=["1/3"], probs="1"
+    )
+    assert _same_walk(resolve_config(ignored), golden)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -299,6 +351,35 @@ def test_bad_sizes_and_budgets_are_usage_errors(capsys, argv, name):
 def test_oversized_inputs_are_usage_errors(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith(f"error: {name} ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correlate", "--algebra", "heisenberg", "--generator", "1e400,0,0",
+          "--generator", "0,1,0", "--character", "1,0", "--times", "4",
+          "--samples", "10"], "generator 1 "),
+        (["clt", "--algebra", "heisenberg", "--generator", "1e400,phi,0",
+          "--generator", "0,0,0", "--character", "0,1", "-N", "4",
+          "--trials", "100"], "generator 1 "),
+        (["words", "heisenberg", "-p", "1", "--generator", "1e400,0,0",
+          "--generator", "0,1,0"], "a level-1 displacement "),
+    ],
+    ids=["correlate", "clt", "words"],
+)
+def test_coordinate_too_large_for_a_float_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and "too large for a float" in err
+
+
+def test_gap_takes_a_coordinate_too_large_for_a_float(capsys):
+    # gap works on exact phases: 10^400 X1 is an integer translation
+    code, out, _ = run(
+        capsys, "gap", "--algebra", "heisenberg", "--generator", "1e400,0,0",
+        "--generator", "0,1,0", "--radius", "1",
+    )
+    assert code == 0 and json.loads(out)["resonant_count"] == 8
 
 
 def test_more_letters_than_basis_vectors_is_usage_error(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nilwalk
-from nilwalk import catalog
+from nilwalk import catalog, stats
 from nilwalk.lie_core import LieVector
 from nilwalk.stats import (
     ResonanceError,
@@ -224,7 +224,7 @@ def test_lemma_needs_both_endpoints(grid):
 
 
 def test_lemma_grid_is_capped():
-    # at 48 bytes per point, the refused grid would need about 800 MB
+    # the cap bounds the scan's time; the refusal allocates nothing
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="grid must be at most 16777216, got 16777217"):
@@ -233,6 +233,37 @@ def test_lemma_grid_is_capped():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _one_shot_lemma(grid):
+    """The whole grid at once: (min_residual, argmin) of the chunked scan."""
+    theta = np.linspace(-0.5, 0.5, grid)
+    residual = (2.0 - 8.0 * theta**2) - np.abs(1.0 + np.exp(2j * np.pi * theta))
+    i = int(np.argmin(residual))
+    return float(residual[i]), float(theta[i])
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, stats.LEMMA_CHUNK])
+@pytest.mark.parametrize("grid", [2, 3, 1001, 100_003, 3 * (1 << 18) + 17])
+def test_lemma_scan_matches_one_shot(monkeypatch, chunk, grid):
+    # the residual ties at theta = -1/2 and +1/2, in the first and the last
+    # chunk, so the first minimum must survive the later chunks
+    monkeypatch.setattr(stats, "LEMMA_CHUNK", chunk)
+    rep = lemma_a1_check(grid=grid)
+    assert (rep.min_residual, rep.argmin) == _one_shot_lemma(grid)
+    assert rep.ok and rep.grid == grid
+
+
+def test_lemma_scan_memory_is_bounded():
+    # the whole grid at once would hold about 200 MB here
+    tracemalloc.start()
+    try:
+        rep = lemma_a1_check(grid=1 << 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 64 << 20
 
 
 def test_lemma_quadratic_cosine_bound():
