@@ -485,23 +485,35 @@ def _json_int(value, field):
     return value
 
 
+def _json_index(value, field, dim):
+    """A basis index in the wire's 1-based numbering, returned 0-based."""
+    if not 1 <= _json_int(value, field) <= dim:
+        raise ValueError(f"{field} must lie in 1..{dim}, got {value}")
+    return value - 1
+
+
 def algebra_from_json(data: dict) -> StructureConstants:
     if not isinstance(data, dict):
         raise ValueError(f"an algebra must be a JSON object, got {type(data).__name__}")
     dim = _json_int(data["dim"], "dim")
+    names = data.get("names")
+    if names is not None and not (
+        isinstance(names, list) and len(names) == dim and all(isinstance(n, str) for n in names)
+    ):
+        raise ValueError(f"names must be a list of {dim} strings, got {names!r}")
     brackets = {}
     for ent in data.get("brackets", []):
-        i, j = _json_int(ent["i"], "i") - 1, _json_int(ent["j"], "j") - 1
+        i, j = _json_index(ent["i"], "i", dim), _json_index(ent["j"], "j", dim)
         out = {}
         for o in ent["out"]:
             num, den = _json_int(o["num"], "num"), _json_int(o.get("den", 1), "den")
             if not den:
                 raise ValueError(f"den must be nonzero in bracket ({i + 1}, {j + 1})")
-            out[_json_int(o["k"], "k") - 1] = Fraction(num, den)
+            out[_json_index(o["k"], "k", dim)] = Fraction(num, den)
         if (i, j) in brackets:
             raise ValueError(f"duplicate bracket entry for ({i + 1}, {j + 1})")
         brackets[(i, j)] = out
-    sc = StructureConstants(dim, brackets, names=data.get("names"))
+    sc = StructureConstants(dim, brackets, names=names)
     ser = sc.series  # raises if not nilpotent / adapted
     claimed = data.get("levels")
     if claimed is not None:

@@ -171,11 +171,6 @@ class Character:
     def norm(self):
         return math.sqrt(sum(v * v for v in self.lam))
 
-    def phase_of(self, g: LieVector) -> Fraction:
-        """Exact phase lam . log(g) mod 1, which is lam . sk(g) on level 0."""
-        s = Fraction(sum(l * n for l, n in zip(self.lam, g.nums)), g.den)
-        return s - math.floor(s)
-
     def values(self, t):
         """Evaluate on an (N, dim) batch of coordinate tuples."""
         t = np.asarray(t, dtype=float)
@@ -200,12 +195,24 @@ def transfer_eigenvalue(config: WalkConfig, char: Character):
     mod 1, which forces |c| = 1 and kills all decay at this frequency.
     """
     validate_observable(config, char)
-    phases = [char.phase_of(g) for g in config.generators]
+    return _eigenvalue(config, char.lam)
+
+
+def _eigenvalue(config: WalkConfig, lam):
+    """transfer_eigenvalue for a frequency lam that is zero off level 0.
+    Generator g's phase lam . log(g) mod 1 is r / den with r = lam . nums
+    mod den, on its integer numerators: the float of r / den is the
+    correctly rounded quotient, as float(Fraction) is, and two phases
+    agree iff r den' = r' den."""
+    phases = [
+        (sum(l * n for l, n in zip(lam, g.nums)) % g.den, g.den) for g in config.generators
+    ]
     c = sum(
-        float(p) * cmath.exp(2j * math.pi * float(ph))
-        for p, ph in zip(config.probs, phases)
+        float(p) * cmath.exp(2j * math.pi * (r / den))
+        for p, (r, den) in zip(config.probs, phases)
     )
-    resonant = len(set(phases)) == 1
+    r0, den0 = phases[0]
+    resonant = all(r * den0 == r0 * den for r, den in phases)
     return c, resonant
 
 
@@ -256,7 +263,7 @@ def gap_profile(config: WalkConfig, radius: int):
     """Transfer eigenvalues over the abelianized frequency box."""
     entries = []
     for ch in abelianized_lambda_box(config.sc, radius):
-        c, resonant = transfer_eigenvalue(config, ch)
+        c, resonant = _eigenvalue(config, ch.lam)
         entries.append(
             GapEntry(
                 lam=ch.lam,

@@ -219,65 +219,68 @@ class DiophantineReport:
     float_error_bound: float
 
 
-# Largest leading value, in rows: each leading value of n carries the
-# (2 q_max + 1)^(d-1) grid over the trailing coordinates, and a scan whose
-# leading values carry more is refused.  2^18 rows kept a chunk's arrays
-# under 60 MB for d <= 8 (measured at d = 4, q_max = 31).
-MAX_SCAN_ROWS = 1 << 18
-# A scan runs over chunks of consecutive leading values, as many per chunk
-# as fit in SCAN_CHUNK_ENTRIES entries (rows times d), and at least one;
-# a chunk of more entries (one leading value, d >= 4) multiplies in row
-# blocks of at most SCAN_CHUNK_ENTRIES entries.  From about 2^19 entries
-# numpy's matrix-vector product took OpenBLAS's threaded path and 20-50 ns
-# per row, against 1-3 ns below it (OpenBLAS 0.3.31 with its default
-# threads, 2-core x86-64 VM).
+# A scan runs over chunks of at most SCAN_CHUNK_ENTRIES entries (points
+# times d), each one matrix-vector product.  From about 2^19 entries
+# numpy's product took OpenBLAS's threaded path and 20-50 ns per row,
+# against 1-3 ns below it (OpenBLAS 0.3.31 with its default threads,
+# 2-core x86-64 VM).
 SCAN_CHUNK_ENTRIES = 1 << 18
-# Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.6 s of
-# CPU at d = 1 and 2 and 3.6 s at d = 3 (24-54 ns per point, same VM).
+# Largest scan, in points (2 q_max + 1)^d.  A box this size took 2.3 s of
+# CPU at d = 1, 1.4 s at d = 2 and 2.2 s at d = 3 (20-35 ns per point,
+# same VM, one OpenBLAS thread).
 MAX_SCAN_POINTS = 1 << 26
 
 
-def _leading_runs(d: int, q_max: int):
-    """Chunks (lo, hi) of the leading values -q_max..q_max, in order."""
-    width = max(1, SCAN_CHUNK_ENTRIES // (d * (2 * q_max + 1) ** (d - 1)))
-    return [(lo, min(lo + width - 1, q_max)) for lo in range(-q_max, q_max + 1, width)]
+def _prefix_runs(d: int, q_max: int):
+    """The chunks of the box |n| <= q_max, in order: the shortest prefix
+    length k >= 1 whose trailing grid fits in SCAN_CHUNK_ENTRIES, and
+    runs (a, b) of consecutive prefix indices, as many per run as fit."""
+    side = 2 * q_max + 1
+    k = next(k for k in range(1, d + 1) if d * side ** (d - k) <= SCAN_CHUNK_ENTRIES)
+    width = SCAN_CHUNK_ENTRIES // (d * side ** (d - k))
+    return k, [(a, min(a + width, side**k)) for a in range(0, side**k, width)]
 
 
-def _scan_grid(d: int, q_max: int, tau: float, lo: int, hi: int):
-    """The points n of the box |n| <= q_max with leading value in lo..hi,
-    as float rows in lexicographic order; |n|^tau for each (max norm);
-    and the index of n = 0 among them, empty when the chunk misses it.
-    All read-only, since cached grids are shared between scans."""
-    axes = [np.arange(lo, hi + 1)] + [np.arange(-q_max, q_max + 1) for _ in range(d - 1)]
-    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    points = np.stack(grids, axis=1).astype(float)
-    norms = functools.reduce(np.maximum, [np.abs(g) for g in grids]).astype(float)
+@functools.lru_cache(maxsize=8)
+def _scan_chunk(d: int, q_max: int, tau: float, k: int, a: int, b: int):
+    """The points n of the box |n| <= q_max whose first k coordinates are
+    the prefixes a..b-1 (in lexicographic order), as float rows in
+    lexicographic order; |n|^tau for each (max norm); and the index of
+    n = 0 among them, empty when the chunk misses it.  All read-only,
+    since cached chunks are shared between scans: every candidate of a
+    search scans the same box, and a box of at most 8 chunks is built
+    once per (d, q_max, tau)."""
+    side = 2 * q_max + 1
+    head = np.stack(np.unravel_index(np.arange(a, b), (side,) * k), axis=1) - q_max
+    tail = np.indices((side,) * (d - k)).reshape(d - k, side ** (d - k)).T - q_max
+    # built in integers and then converted: freeing the integer array
+    # lifts glibc's dynamic mmap threshold to the chunk's size, so later
+    # scans take their temporaries from the heap (built in floats, a
+    # d = 2, q_max = 100 scan took 120 page faults and twice the time)
+    points = np.empty((b - a, len(tail), d), dtype=int)
+    points[:, :, :k] = head[:, None]
+    points[:, :, k:] = tail
+    points = points.reshape(-1, d).astype(float)
+    norms = np.maximum.outer(np.abs(head).max(axis=1), np.abs(tail).max(axis=1, initial=0))
+    norms = norms.ravel().astype(float)
     zero = np.flatnonzero(norms == 0)
     norms[zero] = 1.0  # never read; keeps 0 ** tau out for tau < 0
     weight = norms**tau
-    for a in (points, weight, zero):
-        a.flags.writeable = False
+    for arr in (points, weight, zero):
+        arr.flags.writeable = False
     return points, weight, zero
-
-
-# Every candidate of a search scans the same box, so a box that fits in
-# one chunk is built once per (d, q_max, tau).  Chunked boxes are rebuilt
-# on each call, so the cache never holds more than 8 single-chunk grids.
-_whole_grid = functools.lru_cache(maxsize=8)(_scan_grid)
 
 
 def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     """Scan min |n.v - m| * |n|^tau over 0 < |n| <= q_max.
 
-    The points n, in lexicographic order, and their weights |n|^tau are
-    built once per (d, q_max, tau) and cached; a call computes n.v for
-    all of them with one matrix product and keeps the first minimum.  A
-    box of more than SCAN_CHUNK_ENTRIES entries is scanned in chunks of
-    consecutive leading values, built afresh on each call, and no matrix
-    product covers more than SCAN_CHUNK_ENTRIES entries.  Non-finite
-    input, an error bound that overflows, a leading value whose rows
-    alone exceed MAX_SCAN_ROWS, and a box of more than MAX_SCAN_POINTS
-    points raise ValueError before any allocation.
+    The box is scanned in chunks of consecutive lattice prefixes, each
+    of at most SCAN_CHUNK_ENTRIES entries: its points, in lexicographic
+    order, and their weights |n|^tau come from a cache of the last 8
+    chunks built, and one matrix product gives n.v for all of them.  The
+    first minimum is kept across chunks.  Non-finite input, an error
+    bound that overflows and a box of more than MAX_SCAN_POINTS points
+    raise ValueError before any allocation.
     """
     v = np.asarray([float(x) for x in vector], dtype=float)
     d = v.size
@@ -288,12 +291,6 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     tau = float(tau)
     if not (math.isfinite(tau) and np.all(np.isfinite(v))):
         raise ValueError(f"Diophantine scan needs finite input: tau={tau}, vector={v.tolist()}")
-    rows = (2 * q_max + 1) ** (d - 1)
-    if rows > MAX_SCAN_ROWS:
-        raise ValueError(
-            f"Diophantine scan too large: d={d}, q_max={q_max} needs chunks of "
-            f"{rows} rows, over the limit of {MAX_SCAN_ROWS}; lower q_max"
-        )
     points = (2 * q_max + 1) ** d
     if points > MAX_SCAN_POINTS:
         raise ValueError(
@@ -310,14 +307,10 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
 
     best = math.inf
     best_n = None
-    runs = _leading_runs(d, q_max)
-    build = _whole_grid if len(runs) == 1 else _scan_grid
-    block = max(1, SCAN_CHUNK_ENTRIES // d)
-    for lo, hi in runs:
-        grid, weight, zero = build(d, q_max, tau, lo, hi)
-        r = np.empty(len(grid))
-        for start in range(0, len(grid), block):
-            np.matmul(grid[start : start + block], v, out=r[start : start + block])
+    k, runs = _prefix_runs(d, q_max)
+    for a, b in runs:
+        grid, weight, zero = _scan_chunk(d, q_max, tau, k, a, b)
+        r = np.matmul(grid, v)
         vals = np.abs(r - np.round(r)) * weight
         vals[zero] = math.inf
         i = int(np.argmin(vals))
@@ -335,11 +328,17 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
 
 
 def default_q_max(dim: int) -> int:
-    """The q_max a search uses when none is given.  Its scan of
-    (2 q_max + 1)^dim points stays inside MAX_SCAN_POINTS up to dim 3;
-    from dim 4 on, 201^4 > 2^26, so diophantine_estimate refuses it and
-    the search needs a smaller q_max (--qmax on the command line)."""
-    return 10_000 if dim == 1 else 100
+    """The q_max a search uses when none is given: the largest q <= 100
+    (<= 10,000 at dim 1) whose box of (2 q + 1)^dim points holds at most
+    201^3, the box of the dim-3 default, so a candidate costs no more to
+    scan than there.  That is 100 up to dim 3, then 26, 11, 6, 4 and 3
+    at dims 4 to 8.  It is never below 1: the 3^dim box outgrows 201^3
+    from dim 15 on and MAX_SCAN_POINTS from dim 17 on, where the scan
+    is refused."""
+    q = 10_000 if dim == 1 else 100
+    while q > 1 and (2 * q + 1) ** dim > 201**3:
+        q -= 1
+    return q
 
 
 # -- search for well-distributed pairs -----------------------------------------
@@ -386,9 +385,9 @@ def nice_pair_search(
     Candidates that share a seed prefix share its L/R logs: the search
     keeps every seed-word log and every prefix's level logs for the
     length of the call, so a candidate costs one level step, one product
-    for W1 W2^(-1) and one scan of the grid that diophantine_estimate
-    caches.  Without q_max, the scan uses default_q_max(d), which stays
-    inside MAX_SCAN_POINTS only up to d = 3.
+    for W1 W2^(-1) and one scan of the box, whose chunks
+    diophantine_estimate caches.  Without q_max, the scan uses
+    default_q_max(d), a box of at most 201^3 points up to d = 14.
     """
     if not (1 <= p < sc.step):
         raise ValueError(f"level must be in 1..{sc.step - 1}")

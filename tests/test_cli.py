@@ -211,9 +211,9 @@ def test_words_exit_codes(capsys):
     )
     doc = json.loads(out)
     assert code == 1 and not doc["found"] and doc["zero_candidates"] == 25
-    # level 2 has d = 8: the default q_max = 100 scan is refused, not run
-    code, _, err = run(capsys, "words", "example_5_6", "-p", "2")
-    assert code == 2 and "d=8, q_max=100" in err
+    # triangular(5)'s level 1 has d = 4: the default q_max = 26 box is scanned
+    code, out, _ = run(capsys, "words", "triangular:5", "-p", "1", "--budget", "8")
+    assert code == 0 and json.loads(out)["q_max"] == 26
     code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--generator", "1,0")
     assert code == 2 and "needs 3 coordinates: '1,0'" in err
     code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--tau", "nan")
@@ -439,11 +439,13 @@ def _heisenberg_json(dim=3, **out):
         (_heisenberg_json(num=1.5), ["check"]),
         (_heisenberg_json(dim="3"), ["check"]),
         ([_heisenberg_json()], ["check"]),
+        ({**_heisenberg_json(), "names": "abc"}, ["check"]),
         (None, ["gap", "--algebra", "heisenberg", "--generator", "1/0,0,0"]),
         (None, ["gap", "--algebra", "heisenberg", "--generator", "1,0,0", "--probs", "1/0"]),
         (None, ["gap", "--algebra", "heisenberg", "--generator", "inf,0,0"]),
     ],
-    ids=["den-0", "num-float", "dim-string", "list", "generator-1/0", "probs-1/0", "generator-inf"],
+    ids=["den-0", "num-float", "dim-string", "list", "names-string", "generator-1/0",
+         "probs-1/0", "generator-inf"],
 )
 def test_malformed_exact_input_is_usage_error(capsys, tmp_path, doc, argv):
     if doc is not None:

@@ -264,6 +264,19 @@ def test_json_round_trip():
         assert back._table == sc._table, label
 
 
+def test_json_rejects_malformed_names_and_indices():
+    doc = algebra_to_json(catalog.heisenberg())
+    for names in ("abc", ["a", "b"], ["a", "b", 3]):
+        with pytest.raises(ValueError, match=r"names must be a list of 3 strings"):
+            algebra_from_json({**doc, "names": names})
+    for field, value in (("i", 0), ("j", 4), ("k", 0), ("k", 4)):
+        bad = json.loads(json.dumps(doc))
+        entry = bad["brackets"][0]
+        (entry["out"][0] if field == "k" else entry)[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must lie in 1\.\.3, got {value}$"):
+            algebra_from_json(bad)
+
+
 def test_json_verify_rejects_wrong_levels():
     doc = algebra_to_json(catalog.heisenberg())
     doc["levels"] = [[1, 2, 3]]  # claims the algebra is abelian-shaped

@@ -222,12 +222,11 @@ def test_diophantine_rejects_non_finite_input(vector, tau):
 
 
 def test_diophantine_refuses_oversized_scan():
-    # example_5_6's level 2 has d = 8; at q_max = 100 one leading value
-    # would carry 201^7 rows, about 13 GB per array.  A d = 2 box at
-    # q_max = 10000 has small rows but 20001^2 points, over the budget.
+    # example_5_6's level 2 has d = 8; at q_max = 100 its box has 201^8
+    # points.  A d = 2 box at q_max = 10000 has 20001^2, also over the budget.
     oversized = [
         ([0.1 * (i + 1) for i in range(8)], 8.0, 100,
-         r"d=8, q_max=100 .* 13254776280841401 rows"),
+         r"d=8, q_max=100 covers 2664210032449121601 points"),
         ([0.3, 0.7], 2.0, 10_000, r"d=2, q_max=10000 covers 400040001 points"),
     ]
     for vector, tau, q_max, message in oversized:
@@ -284,11 +283,18 @@ def test_scan_matches_per_leading_value_reference():
                 # rational, with exact zeros: many ties at gamma_hat = 0
                 zeros = [rng.choice((0.0, 0.5, -0.25, 1 / 3, 2.0)) for _ in range(d)]
                 cases.append((zeros, tau, q_max))
-    # chunked boxes: one leading value per chunk at d = 8, several at d = 3
-    assert len(words._leading_runs(8, 2)) > 1 and len(words._leading_runs(3, 30)) > 1
+    # chunked boxes: several leading values per chunk at d = 3, two-value
+    # prefixes at d = 4, 5 and 8 (at q_max = 32 and 12 one leading value
+    # alone carries over 2^18 rows)
+    assert [words._prefix_runs(d, q)[0] for d, q in ((3, 30), (4, 32), (5, 12), (8, 2))] == [
+        1, 2, 2, 2]
+    assert len(words._prefix_runs(3, 30)[1]) > 1 and len(words._prefix_runs(8, 2)[1]) > 1
     cases.append(([rng.uniform(-1, 1) for _ in range(8)], 8.0, 2))
     cases.append(([rng.uniform(-1, 1) for _ in range(3)], 3.0, 30))
     cases.append(([0.5, 0.0, 0.25], 3.0, 30))
+    cases.append(([0.5, 0.0, 0.25, 1 / 3, 0.0, 2.0, -0.25, 0.5], 8.0, 2))
+    cases.append(([rng.uniform(-1, 1) for _ in range(4)], 4.0, 32))
+    cases.append(([rng.uniform(-1, 1) for _ in range(5)], 5.0, 12))
     # interleave shapes, vectors and taus, so cached grids serve many calls
     rng.shuffle(cases)
     for vector, tau, q_max in cases:
@@ -296,7 +302,7 @@ def test_scan_matches_per_leading_value_reference():
         assert (rep.gamma_hat, rep.worst_n) == reference_scan(vector, tau, q_max), (
             vector, tau, q_max)
     # the cached arrays are shared by every later scan of their shape
-    for a in words._whole_grid(2, 7, 2.0, -7, 7):
+    for a in words._scan_chunk(2, 7, 2.0, 1, 0, 15):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -305,7 +311,7 @@ def test_scan_matches_per_leading_value_reference():
 def test_scan_matvecs_stay_under_chunk_entries(monkeypatch):
     # at d = 4, q_max = 31 one leading value carries 63^3 rows, about four
     # times SCAN_CHUNK_ENTRIES entries; bigger products took OpenBLAS's
-    # threaded path, so the chunk is multiplied in row blocks
+    # threaded path, so the box is chunked by two-value prefixes
     assert 4 * 63**3 > words.SCAN_CHUNK_ENTRIES
     sizes = []
     matmul = np.matmul
@@ -321,6 +327,13 @@ def test_scan_matvecs_stay_under_chunk_entries(monkeypatch):
     assert max(sizes) <= words.SCAN_CHUNK_ENTRIES
     assert sum(sizes) == 4 * 63**4
     assert (rep.gamma_hat, rep.worst_n) == reference_scan(vector, 4.0, 31)
+
+
+def test_default_q_max_scans_at_most_the_d3_box():
+    assert [words.default_q_max(d) for d in (1, 2, 3)] == [10_000, 100, 100]
+    assert [words.default_q_max(d) for d in range(4, 9)] == [26, 11, 6, 4, 3]
+    for d in range(1, 9):
+        assert (2 * words.default_q_max(d) + 1) ** d <= 201**3 < words.MAX_SCAN_POINTS
 
 
 # -- search ------------------------------------------------------------------------
