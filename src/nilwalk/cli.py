@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a checked property fails (a degenerate
-pencil, a resonance, a failed distributional test), 2 on bad input, and
-3 when a certification ends undetermined.  All JSON output is emitted
+pencil, a gap below --min-gap, a failed distributional test), 2 on bad
+input (a resonant character for clt among them), and 3 when a
+certification ends undetermined.  All JSON output is emitted
 with sorted keys so identical runs produce identical bytes.
 """
 

@@ -4,13 +4,14 @@ A StructureConstants object stores the bracket table of a finite
 dimensional Lie algebra over Q in a fixed basis.  All arithmetic in this
 module is exact; nothing here touches floating point.  A LieVector is
 stored as integer numerators over one denominator, and the exact
-bracket, the Jacobi check and the lower central series run on the
-integer form of the table (integer_table), so none of them builds a
-Fraction.  The basis is required to be adapted to the lower central
-series: writing g^(0) = g and g^(j) = [g^(j-1), g], each g^(j) must be
-spanned by a trailing block of basis vectors.  Adaptedness is *verified*,
-never repaired: it is read off the pivots of each g^(j)'s echelon form,
-and a basis that does not have this shape raises NotAdaptedError.
+bracket, the k-weighted nested bracket, the Jacobi check and the lower
+central series run on the integer form of the table (integer_table), so
+none of them builds a Fraction.  The basis is required to be adapted to
+the lower central series: writing g^(0) = g and g^(j) = [g^(j-1), g],
+each g^(j) must be spanned by a trailing block of basis vectors.
+Adaptedness is *verified*, never repaired: it is read off the pivots of
+each g^(j)'s echelon form, and a basis that does not have this shape
+raises NotAdaptedError.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 
@@ -32,6 +34,7 @@ __all__ = [
     "NotAdaptedError",
     "check_jacobi",
     "lower_central_series",
+    "nested_bracket",
     "project",
     "quotient_algebra",
     "direct_product",
@@ -289,6 +292,24 @@ class StructureConstants:
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim}, brackets={len(self._table)})"
+
+
+def nested_bracket(sc: StructureConstants, weights, cols):
+    """D^p times [ ... [W_0, W_1], ..., W_p ] on the integer table.
+
+    p = len(weights) - 1 and W_q = sum_i weights[q][i] V_i, where
+    cols[j][i] is coordinate j of V_i; coordinates from len(cols) on are
+    0.  Scalars are ints or anything with ring arithmetic against them
+    (MultiPoly), so integer input keeps every entry an int.  An entry no
+    bracket touches stays the int 0.  D is sc.integer_table[0].
+    """
+    table = sc.integer_table[1]
+    pad = [0] * (sc.dim - len(cols))
+    acc = None
+    for row in weights:
+        w = [sum(map(mul, row, col)) for col in cols] + pad
+        acc = w if acc is None else _bracket_loop(table, sc.dim, acc, w)
+    return acc
 
 
 def check_jacobi(sc: StructureConstants) -> JacobiReport:

@@ -12,13 +12,16 @@ some integer choice of the k rows makes the coordinate polynomials
 linearly independent over Q; an algebra is m-great when that holds for
 every level 1 <= p <= step-1.
 
-Everything here is exact.  One builder, _nested_level, brackets on the
-algebra's integer table (D times the structure constants), so at integer
-k every coefficient stays a Python int until the level-p block is divided
-by D^p once; when D = 1 no Fraction is built at all.  Rank decisions on
-polynomials come from fraction-free elimination on the coefficient
-matrix over the monomial basis, and a dependence is always returned with
-its rational kernel certificate.
+Everything here is exact.  A level-p bracket lives in the quotient
+g/g^(p+1), so every pencil value is one lie_core.nested_bracket there,
+on the quotient's integer table (D times its structure constants).  The
+one builder, _nested_level, runs it on symbolic vectors: at integer k
+every coefficient stays a Python int until the level-p block is divided
+by D^p once, and when D = 1 no Fraction is built at all.  The witness
+evaluation runs it on integer points.  Rank decisions on polynomials
+come from fraction-free elimination on the coefficient matrix over the
+monomial basis, and a dependence is always returned with its rational
+kernel certificate.
 
 A witness try needs only a yes, and integer evaluation proves one
 without building a polynomial: if the n_p x n_p integer matrix of the
@@ -38,14 +41,13 @@ from fractions import Fraction
 from operator import add, mul
 
 from . import linalg
-from .lie_core import StructureConstants
+from .lie_core import StructureConstants, nested_bracket, quotient_algebra
 
 __all__ = [
     "PolyRing",
     "MultiPoly",
     "Pencil",
     "alpha_ring",
-    "generic_vectors",
     "generic_nested_bracket",
     "build_pencil",
     "pencil_at_k",
@@ -298,52 +300,33 @@ def pencil_ring(m: int, n0: int, p: int) -> PolyRing:
     return PolyRing(_alpha_names(m, n0) + _k_names(m, p))
 
 
-def generic_vectors(sc: StructureConstants, m: int, ring: PolyRing):
-    """Symbolic V_i = sum_j a_{i,j} X_j over the level-0 basis vectors.
-
-    Components beyond level 0 would die in every pencil level anyway
-    (a bracket slot in g^(1) pushes the whole nested bracket past the
-    level being read off), so they are omitted from the start.
-    """
-    n0 = sc.dims[0]
-    vecs = []
-    for i in range(m):
-        v = [ring.zero()] * sc.dim
-        for j in range(n0):
-            v[j] = ring.var(f"a{i + 1}_{j + 1}")
-        vecs.append(v)
-    return vecs
-
-
 def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     """Level-p coordinates of [ ... [W_0, W_1], ..., W_p ], p = len(weights) - 1.
 
-    W_q = sum_i weights[q][i] V_i over the generic vectors of ring.  A
-    weight is a ring element (a symbolic k) or a number (an integer k, or
-    a unit row picking one V_i); zero weights are skipped.
+    W_q = sum_i weights[q][i] V_i over the generic level-0 vectors
+    V_i = sum_j a_{i,j} X_j of ring.  A weight is a ring element (a
+    symbolic k) or a number (an integer k, or a unit row picking one
+    V_i).  Components beyond level 0 would die in every pencil level (a
+    bracket slot in g^(1) pushes the whole nested bracket past the level
+    being read off), so the V_i have none.
 
-    The brackets run on the integer table D * c_ij^k (sc.integer_bracket),
-    so integer weights keep every coefficient an integer; the level-p
-    block, D^p times the pencil, is divided by D^p once at the end, and
+    One nested_bracket on g/g^(p+1) gives D^p times the bracket, D the
+    quotient's own denominator, so integer weights keep every coefficient
+    an integer; the level-p block is divided by D^p once at the end, and
     not at all when D = 1.
     """
     p = len(weights) - 1
     if not (0 <= p < sc.step):
         raise ValueError(f"level {p} out of range for step {sc.step}")
-    vecs = generic_vectors(sc, len(weights[0]), ring)
+    q_sc = quotient_algebra(sc, p)
+    m = len(weights[0])
+    cols = [[ring.var(f"a{i + 1}_{j + 1}") for i in range(m)] for j in range(sc.dims[0])]
+    acc = nested_bracket(q_sc, weights, cols)
+    scale = q_sc.integer_table[0] ** p
     zero = ring.zero()
-    acc = None
-    for row in weights:
-        w = [zero] * sc.dim
-        for k, v in zip(row, vecs):
-            if k:
-                for j in range(sc.dims[0]):
-                    w[j] = w[j] + k * v[j]
-        acc = w if acc is None else sc.integer_bracket(acc, w)
-    scale = sc.integer_table[0] ** p
     out = []
-    for i in sc.series.level_indices(p):
-        # integer_bracket leaves untouched entries as int 0
+    for i in q_sc.series.level_indices(p):
+        # nested_bracket leaves untouched entries as int 0
         c = acc[i] if isinstance(acc[i], MultiPoly) else zero
         if scale != 1:
             c = MultiPoly._of(ring, {m: Fraction(x, scale) for m, x in c.terms.items()})
@@ -373,7 +356,6 @@ class Pencil:
     p: int
     coords: tuple  # n_p polynomials over pencil_ring(m, n0, p)
     ring: PolyRing
-    n0: int
 
     def is_identically_zero(self):
         return all(c.is_zero() for c in self.coords)
@@ -383,20 +365,9 @@ def build_pencil(sc: StructureConstants, m: int, p: int) -> Pencil:
     """The full symbolic pencil at level p."""
     if m < 1:
         raise ValueError("m must be positive")
-    n0 = sc.dims[0]
-    ring = pencil_ring(m, n0, p)
+    ring = pencil_ring(m, sc.dims[0], p)
     kvars = [[ring.var(f"k{q}_{i + 1}") for i in range(m)] for q in range(p + 1)]
-    coords = tuple(_nested_level(sc, ring, kvars))
-    return Pencil(m=m, p=p, coords=coords, ring=ring, n0=n0)
-
-
-def _check_k(sc, kbar, m, p):
-    if not (0 <= p < sc.step):
-        raise ValueError(f"level {p} out of range for step {sc.step}")
-    kbar = [tuple(row) for row in kbar]
-    if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
-        raise ValueError(f"k must be {p + 1} rows of length {m}")
-    return kbar
+    return Pencil(m=m, p=p, coords=tuple(_nested_level(sc, ring, kvars)), ring=ring)
 
 
 def _is_matrix(k, rows, cols):
@@ -417,7 +388,11 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     build_pencil(sc, m, p), but one nested bracket of numeric
     combinations.
     """
-    kbar = _check_k(sc, kbar, m, p)
+    if not (0 <= p < sc.step):
+        raise ValueError(f"level {p} out of range for step {sc.step}")
+    kbar = [tuple(row) for row in kbar]
+    if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
+        raise ValueError(f"k must be {p + 1} rows of length {m}")
     # integer entries as Python ints keep the whole bracket on integers
     weights = [[int(v) if v == int(v) else Fraction(v) for v in row] for row in kbar]
     return _nested_level(sc, alpha_ring(m, sc.dims[0]), weights)
@@ -441,23 +416,18 @@ def _points(m, n0, n):
 def _proved_independent(sc: StructureConstants, m: int, p: int, kbar):
     """True when integer evaluation proves H_{m,p}(kbar, a) independent.
 
-    Row t of the matrix is the level-p block of D^p times the pencil at
-    the point a^(t), one integer nested bracket.  A nonsingular matrix is
-    a proof; False only means not proved, as does any non-int entry of
-    kbar.
+    kbar is p+1 rows of m entries.  Row t of the matrix is the level-p
+    block of nested_bracket on g/g^(p+1) at the point a^(t), the quotient's
+    D^p times the pencil there.  A nonsingular matrix is a proof; False
+    only means not proved, as does any non-int entry of kbar.
     """
-    kbar = _check_k(sc, kbar, m, p)
     if not all(isinstance(v, int) for row in kbar for v in row):
         return False
-    n0 = sc.dims[0]
-    level = sc.series.level_indices(p)
-    pad = [0] * (sc.dim - n0)
+    q_sc = quotient_algebra(sc, p)
+    level = q_sc.series.level_indices(p)
     rows = []
-    for point in _points(m, n0, len(level)):
-        acc = None
-        for row in kbar:
-            w = [sum(map(mul, row, col)) for col in point] + pad
-            acc = w if acc is None else sc.integer_bracket(acc, w)
+    for point in _points(m, sc.dims[0], len(level)):
+        acc = nested_bracket(q_sc, kbar, point)
         rows.append([acc[i] for i in level])
         if not any(rows[-1]):
             return False

@@ -443,7 +443,13 @@ def tame_decay_fit(
     for n in times:
         coeff = w * c**n
         sups.append(float(np.max(np.abs(phases @ coeff))))
-    slope, intercept = np.polyfit(np.log(times), np.log(sups), 1)
+    # the closed-form least-squares line, summed exactly: np.polyfit's
+    # LAPACK solve rounds differently under different BLAS kernels
+    xs, ys = [math.log(n) for n in times], [math.log(s) for s in sups]
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - xbar for x in xs]
+    slope = math.fsum(a * (y - ybar) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
+    intercept = ybar - slope * xbar
     return DecayFit(
         r=float(r),
         radius=radius,

@@ -27,12 +27,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .bch import Word, bch_product, word_eval
-from .lie_core import LieVector, StructureConstants, project, quotient_algebra
+from .lie_core import LieVector, StructureConstants, nested_bracket, project, quotient_algebra
 
 __all__ = [
     "WordPair",
@@ -116,14 +115,6 @@ class IdentityCheck:
     bracket_log: LieVector
 
 
-def _combo(generators, coeffs):
-    acc = LieVector.zero(generators[0].dim)
-    for c, g in zip(coeffs, generators):
-        if c:
-            acc = acc + Fraction(c) * g
-    return acc
-
-
 def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
     """Exact logs of (W1, W2), via the recursion rather than letterwise.
 
@@ -176,9 +167,11 @@ def verify_word_bracket_identity(
     """Check log(W1 W2^(-1)) == [ ... [k_0 V, k_1 V], ..., k_p V] mod g^(p+1).
 
     generators is a sequence of LieVector logs (exact rationals).  Both
-    sides are evaluated in g / g^(p+1).  The residual lists the
-    coordinates of the discrepancy on levels 0..p; the identity holds iff
-    they are all exactly zero.
+    sides are evaluated in g / g^(p+1).  The bracket is one
+    nested_bracket on the generators' integer numerators over their
+    common denominator d, which gives D^p d^(p+1) times it.  The residual
+    lists the coordinates of the discrepancy on levels 0..p; the identity
+    holds iff they are all exactly zero.
     """
     q_sc, gens = _in_quotient(sc, min(pair.level, sc.step - 1), generators)
     if len(gens) < pair.m:
@@ -186,16 +179,18 @@ def verify_word_bracket_identity(
     logL, logR = word_pair_logs(q_sc, pair, gens)
     word_log = bch_product(q_sc, logL, -logR)
 
-    acc = _combo(gens, pair.k_sequence[0])
-    for kq in pair.k_sequence[1:]:
-        acc = q_sc.bracket(acc, _combo(gens, kq))
+    gens = gens[: pair.m]
+    d = math.lcm(*(g.den for g in gens))
+    cols = list(zip(*([x * (d // g.den) for x in g.nums] for g in gens)))
+    acc = nested_bracket(q_sc, pair.k_sequence, cols)
+    bracket_log = LieVector._of(acc, q_sc.integer_table[0] ** pair.level * d ** (pair.level + 1))
 
-    residual = (word_log - acc).coords
+    residual = (word_log - bracket_log).coords
     return IdentityCheck(
         ok=not any(residual),
         residual=residual,
         word_log=word_log,
-        bracket_log=acc,
+        bracket_log=bracket_log,
     )
 
 

@@ -65,8 +65,10 @@ SAMPLES = 100_000
 DECAY_TIMES = [4, 8, 16, 32, 64, 128, 256]
 # SHA-256 of _canonical_bytes(_stochastic_run()), measured on Python 3.11.7
 # with numpy 2.4.6; it pins the stochastic output across refactors of the
-# simulation, not only across reruns of one build.
-PINNED_SHA256 = "c94aa7a927ac4f5cb02c86371674ad219a309151c0a963cb3ee8f27382d2af10"
+# simulation, not only across reruns of one build.  It holds under
+# OpenBLAS's SkylakeX and Haswell kernels (OPENBLAS_CORETYPE); kernels
+# without FMA round the decay sups differently.
+PINNED_SHA256 = "a84730207b576ff7d7d5edb5d9b5f34946f222639e9b6e52d5ee14a80fc519c6"
 
 
 def _emit(capsys, n, name, ok, detail):

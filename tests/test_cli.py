@@ -238,6 +238,14 @@ def test_gap_min_gap_gate(capsys):
     assert code == 1  # the lazy walk never has gaps that large
 
 
+def test_clt_on_a_resonant_character_is_usage_error(capsys):
+    # 2 * 1/4 and 2 * 3/4 are both 1/2 mod 1: the character never mixes
+    code, out, err = run(
+        capsys, "clt", "--preset", "circle-quarters", "--character", "2", "--trials", "200",
+    )
+    assert code == 2 and out == "" and "resonant" in err
+
+
 def test_correlate_csv_contract(capsys, tmp_path):
     out_file = tmp_path / "corr.csv"
     code, _, _ = run(

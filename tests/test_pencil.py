@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwalk import catalog, pencil
-from nilwalk.lie_core import algebra_to_json, direct_product, rescale_levels
+from nilwalk.lie_core import (
+    LieVector,
+    algebra_to_json,
+    direct_product,
+    nested_bracket,
+    quotient_algebra,
+    rescale_levels,
+)
 from nilwalk.linalg import left_kernel_vector
 from nilwalk.pencil import (
     POINT_BOUND,
@@ -24,7 +31,6 @@ from nilwalk.pencil import (
     build_pencil,
     certify_greatness,
     generic_nested_bracket,
-    generic_vectors,
     linearly_independent,
     pencil_at_k,
     pencil_ring,
@@ -163,7 +169,11 @@ DENOMINATOR_ALGEBRAS = [
 def _fraction_level(sc, ring, weights):
     """Level-p block of the nested bracket on the rational table: every
     coefficient a Fraction, bracket_coords at every step, no rescaling."""
-    vecs = generic_vectors(sc, len(weights[0]), ring)
+    n0 = sc.dims[0]
+    vecs = [
+        [ring.var(f"a{i + 1}_{j + 1}") if j < n0 else ring.zero() for j in range(sc.dim)]
+        for i in range(len(weights[0]))
+    ]
     acc = None
     for row in weights:
         w = [ring.zero() for _ in range(sc.dim)]
@@ -202,6 +212,34 @@ def test_integer_pencil_matches_fraction_reference(sc):
             kvars = [[ring.var(f"k{q}_{i + 1}") * F(1) for i in range(m)] for q in range(p + 1)]
             ref = _fraction_level(sc, ring, kvars)
             _assert_same_polys(build_pencil(sc, m, p).coords, ref, (m, p))
+
+
+def _full_chain_level(sc, weights, cols):
+    """Level-p block of [ ... [W_0, W_1], ..., W_p ] by the exact bracket
+    on the full algebra, one LieVector per W_q."""
+    acc = None
+    for row in weights:
+        w = LieVector([sum(k * c for k, c in zip(row, col)) for col in cols]
+                      + [0] * (sc.dim - len(cols)))
+        acc = w if acc is None else sc.bracket(acc, w)
+    return [acc[i] for i in sc.series.level_indices(len(weights) - 1)]
+
+
+@pytest.mark.parametrize("sc", [sc for _, sc in PENCIL_ALGEBRAS], ids=[n for n, _ in PENCIL_ALGEBRAS])
+def test_quotient_chain_matches_full_algebra(sc):
+    rng = random.Random(5)
+    for m in (1, 2, 3):
+        for p in range(sc.step):
+            q_sc = quotient_algebra(sc, p)
+            # level-0 points, as the pencil takes them, or dense ones
+            rows = sc.dims[0] if (m + p) % 2 else q_sc.dim
+            cols = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(rows)]
+            kbar = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(p + 1)]
+            acc = nested_bracket(q_sc, kbar, cols)
+            assert len(acc) == q_sc.dim and all(type(x) is int for x in acc)
+            scale = q_sc.integer_table[0] ** p
+            got = [F(acc[i], scale) for i in q_sc.series.level_indices(p)]
+            assert got == _full_chain_level(sc, kbar, cols), (m, p, kbar)
 
 
 def test_denominator_algebras_have_nontrivial_integer_tables():

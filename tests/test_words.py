@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nilwalk import catalog, words
 from nilwalk.bch import bch_product, word_eval
-from nilwalk.lie_core import LieVector, project, quotient_algebra
+from nilwalk.lie_core import LieVector, project, quotient_algebra, rescale_levels
 from nilwalk.words import (
     NicePairSearch,
     build_lr,
@@ -123,6 +123,59 @@ def test_bracket_identity_across_algebras():
                 pair = build_lr(p, seeds, m)
                 chk = verify_word_bracket_identity(sc, pair, gens)
                 assert chk.ok, (sc.names[:2], p, seeds, chk.residual)
+
+
+def _reference_bracket_log(sc, pair, gens):
+    """[ ... [k_0 V, k_1 V], ..., k_p V ] in g / g^(p+1), one exact
+    bracket of k-combinations of the projected generators at a time."""
+    q_sc = quotient_algebra(sc, min(pair.level, sc.step - 1))
+    vs = [LieVector(g.coords[: q_sc.dim]) for g in gens]
+
+    def combo(k):
+        return sum((c * v for c, v in zip(k, vs)), LieVector.zero(q_sc.dim))
+
+    acc = combo(pair.k_sequence[0])
+    for k in pair.k_sequence[1:]:
+        acc = q_sc.bracket(acc, combo(k))
+    return acc
+
+
+def test_bracket_log_is_one_nested_bracket(monkeypatch):
+    """bracket_log equals the reference bracket loop, from one
+    nested_bracket call per check; filiform(5) rescaled has D = 60."""
+    calls = []
+    chain = words.nested_bracket
+    monkeypatch.setattr(words, "nested_bracket", lambda *a: calls.append(a) or chain(*a))
+    rng = random.Random(9)
+    cases = [
+        (catalog.heisenberg(), 2),
+        (catalog.example_3_2(), 2),
+        (catalog.filiform(5), 2),
+        (catalog.triangular(3), 3),
+        (catalog.example_5_6(), 2),
+        (rescale_levels(catalog.filiform(5), [1, F(2, 3), F(5, 2), 3]), 2),
+    ]
+    checks = 0
+    for sc, m in cases:
+        gens = rational_generators(sc, m + 1, seed=rng.randint(0, 999))
+        # p = step reads past the last level, where the bracket is 0
+        for p in range(0, sc.step + 1):
+            for _ in range(3):
+                # level-0 base words need equal lengths
+                seeds = [
+                    tuple(rng.randrange(m) for _ in range(1 if p == 0 else rng.randint(1, 2)))
+                    for _ in range(2)
+                ]
+                seeds += [
+                    tuple(rng.randrange(m) for _ in range(rng.randint(0, 2)))
+                    for _ in range(p)
+                ]
+                pair = build_lr(p, seeds, m)
+                chk = verify_word_bracket_identity(sc, pair, gens)
+                assert chk.bracket_log == _reference_bracket_log(sc, pair, gens), (p, seeds)
+                checks += 1
+    assert len(calls) == checks
+    assert sc.integer_table[0] == 60
 
 
 def test_step4_quotient_kills_all_pairs():
