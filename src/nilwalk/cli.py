@@ -71,8 +71,7 @@ def algebra_digest(sc) -> str:
 
 
 def provenance(args, sc=None):
-    """Version, command and every parsed argument except the output paths.
-    NILWALK_WORKERS is left out: it changes wall time, never the output."""
+    """Version, command and every parsed argument except the output paths."""
     skip = ("func", "cmd", "json", "csv")
     doc = {k: v for k, v in vars(args).items() if k not in skip}
     doc.update(version=__version__, command=args.cmd)

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -49,27 +48,13 @@ __all__ = [
     "tame_decay_fit",
     "advance",
     "draw_generators",
-    "worker_count",
 ]
 
-CHUNK = 8192  # fixed sample chunking so results never depend on worker count
+CHUNK = 8192  # paths per seeded chunk; changing it changes every seeded result
 # Largest frequency box, in nonzero frequencies.  Each one is a Character
 # and, in gap_profile, a GapEntry; 28,560 of them (n0 = 4, radius 6) took
 # 113 MB peak RSS through `nilwalk gap`.
 MAX_FREQUENCIES = 1 << 17
-
-
-def worker_count():
-    """Process count from NILWALK_WORKERS (default 1); anything but an
-    integer >= 1 raises ValueError."""
-    raw = os.environ.get("NILWALK_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"NILWALK_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
 
 
 class ObservableError(Exception):
@@ -320,21 +305,15 @@ def sample_paths(config: WalkConfig, size, rng, steps):
 
 
 def run_chunks(work, config: WalkConfig, samples, seed, *args):
-    """work(config, *args, size, rng) over chunks of CHUNK paths (the last
-    takes the rest), each with its own PCG64 stream spawned from seed, so
-    the results never depend on NILWALK_WORKERS; work is module-level."""
+    """[work(config, *args, size, rng)] over chunks of CHUNK paths (the
+    last takes the rest), in order, each with its own PCG64 stream spawned
+    from seed, so the results depend on the seed alone."""
     sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     states = np.random.SeedSequence(seed).spawn(len(sizes))
-    rngs = [np.random.default_rng(np.random.PCG64(state)) for state in states]
-    job = partial(work, config, *args)
-    workers = worker_count()
-    if workers > 1 and len(sizes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork starts every worker at the first submit: no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            return list(pool.map(job, sizes, rngs))
-    return list(map(job, sizes, rngs))
+    return [
+        work(config, *args, size, np.random.default_rng(np.random.PCG64(state)))
+        for size, state in zip(sizes, states)
+    ]
 
 
 def torus_characters(config: WalkConfig, characters):
@@ -368,9 +347,9 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
     """Mean of each character at the given walk times, over sample paths.
 
     All paths start at the identity and are advanced jointly; chunked
-    deterministically so the output depends only on the seed, never on
-    NILWALK_WORKERS.  After validation the paths run on the abelianized
-    torus: the config's level-0 coordinates, which no higher level moves.
+    deterministically so the output depends only on the seed.  After
+    validation the paths run on the abelianized torus: the config's
+    level-0 coordinates, which no higher level moves.
     stderr is the root mean square error of the complex mean (characters
     are unit modulus, so the population second moment is exactly 1).
     """
@@ -433,16 +412,25 @@ def tame_decay_fit(
     bad = [e.lam for e in entries if e.resonant]
     if bad:
         raise ValueError(f"resonant frequencies in the box: {bad[:4]}")
+    # every product below is elementwise and every sum runs in a fixed
+    # order: a BLAS product rounds with or without FMA by kernel
     axes = [np.arange(grid) / grid] * n0
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    mesh = [g.ravel()[:, None] for g in np.meshgrid(*axes, indexing="ij")]
     lams = np.asarray([e.lam[:n0] for e in entries], dtype=float)
-    phases = np.exp(2j * np.pi * (mesh @ lams.T))  # (grid^n0, n_lam)
+    arg = mesh[0] * lams[:, 0]  # (grid^n0, n_lam): lam . x, left to right
+    for k in range(1, n0):
+        arg += mesh[k] * lams[:, k]
+    phases = np.exp(2j * np.pi * arg)
+    p_re, p_im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
     w = np.asarray([e.norm ** (-float(r)) for e in entries])
     c = np.asarray([e.eigenvalue for e in entries])
     sups = []
     for n in times:
         coeff = w * c**n
-        sups.append(float(np.max(np.abs(phases @ coeff))))
+        c_re, c_im = coeff.real, coeff.imag
+        re = (p_re * c_re - p_im * c_im).sum(axis=1)
+        im = (p_re * c_im + p_im * c_re).sum(axis=1)
+        sups.append(float(np.max(np.hypot(re, im))))
     # the closed-form least-squares line, summed exactly: np.polyfit's
     # LAPACK solve rounds differently under different BLAS kernels
     xs, ys = [math.log(n) for n in times], [math.log(s) for s in sups]

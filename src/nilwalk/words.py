@@ -215,14 +215,14 @@ class DiophantineReport:
 
 
 # A scan runs over chunks of at most SCAN_CHUNK_ENTRIES entries (points
-# times d), each one matrix-vector product.  From about 2^19 entries
-# numpy's product took OpenBLAS's threaded path and 20-50 ns per row,
-# against 1-3 ns below it (OpenBLAS 0.3.31 with its default threads,
-# 2-core x86-64 VM).
+# times d), which bounds what a scan holds: a chunk's points and weights
+# take at most 4 MB, and the cache keeps 8 chunks.  Scans of d = 2..4
+# boxes peaked at 66 MB RSS with this size, 151 MB at 2^20 and 397 MB at
+# 2^22, none of them faster per point (2-core x86-64 VM, numpy 2.4).
 SCAN_CHUNK_ENTRIES = 1 << 18
-# Largest scan, in points (2 q_max + 1)^d.  A box this size took 2.3 s of
-# CPU at d = 1, 1.4 s at d = 2 and 2.2 s at d = 3 (20-35 ns per point,
-# same VM, one OpenBLAS thread).
+# Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.8 s of
+# CPU at d = 1, 1.2 s at d = 2 and 1.7 s at d = 3 (18-27 ns per point,
+# same VM).
 MAX_SCAN_POINTS = 1 << 26
 
 
@@ -239,12 +239,13 @@ def _prefix_runs(d: int, q_max: int):
 @functools.lru_cache(maxsize=8)
 def _scan_chunk(d: int, q_max: int, tau: float, k: int, a: int, b: int):
     """The points n of the box |n| <= q_max whose first k coordinates are
-    the prefixes a..b-1 (in lexicographic order), as float rows in
-    lexicographic order; |n|^tau for each (max norm); and the index of
-    n = 0 among them, empty when the chunk misses it.  All read-only,
-    since cached chunks are shared between scans: every candidate of a
-    search scans the same box, and a box of at most 8 chunks is built
-    once per (d, q_max, tau)."""
+    the prefixes a..b-1 (in lexicographic order), as d float rows, row i
+    holding coordinate i of every point in lexicographic order; |n|^tau
+    for each point (max norm); and the index of n = 0 among them, empty
+    when the chunk misses it.  All read-only, since cached chunks are
+    shared between scans: every candidate of a search scans the same
+    box, and a box of at most 8 chunks is built once per (d, q_max,
+    tau)."""
     side = 2 * q_max + 1
     head = np.stack(np.unravel_index(np.arange(a, b), (side,) * k), axis=1) - q_max
     tail = np.indices((side,) * (d - k)).reshape(d - k, side ** (d - k)).T - q_max
@@ -252,10 +253,10 @@ def _scan_chunk(d: int, q_max: int, tau: float, k: int, a: int, b: int):
     # lifts glibc's dynamic mmap threshold to the chunk's size, so later
     # scans take their temporaries from the heap (built in floats, a
     # d = 2, q_max = 100 scan took 120 page faults and twice the time)
-    points = np.empty((b - a, len(tail), d), dtype=int)
-    points[:, :, :k] = head[:, None]
-    points[:, :, k:] = tail
-    points = points.reshape(-1, d).astype(float)
+    points = np.empty((d, b - a, len(tail)), dtype=int)
+    points[:k] = head.T[:, :, None]
+    points[k:] = tail.T[:, None]
+    points = points.reshape(d, -1).astype(float)
     norms = np.maximum.outer(np.abs(head).max(axis=1), np.abs(tail).max(axis=1, initial=0))
     norms = norms.ravel().astype(float)
     zero = np.flatnonzero(norms == 0)
@@ -272,10 +273,12 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     The box is scanned in chunks of consecutive lattice prefixes, each
     of at most SCAN_CHUNK_ENTRIES entries: its points, in lexicographic
     order, and their weights |n|^tau come from a cache of the last 8
-    chunks built, and one matrix product gives n.v for all of them.  The
-    first minimum is kept across chunks.  Non-finite input, an error
-    bound that overflows and a box of more than MAX_SCAN_POINTS points
-    raise ValueError before any allocation.
+    chunks built.  n.v is n_0 v_0 + n_1 v_1 + ... summed left to right
+    in elementwise products, not a BLAS product, whose rounding moves
+    with the kernel (with or without FMA).  The first minimum is kept
+    across chunks.  Non-finite input, an error bound that overflows and
+    a box of more than MAX_SCAN_POINTS points raise ValueError before
+    any allocation.
     """
     v = np.asarray([float(x) for x in vector], dtype=float)
     d = v.size
@@ -305,13 +308,15 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     k, runs = _prefix_runs(d, q_max)
     for a, b in runs:
         grid, weight, zero = _scan_chunk(d, q_max, tau, k, a, b)
-        r = np.matmul(grid, v)
+        r = grid[0] * v[0]  # n.v, summed left to right
+        for row, x in zip(grid[1:], v[1:]):
+            r += row * x
         vals = np.abs(r - np.round(r)) * weight
         vals[zero] = math.inf
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            best_n = tuple(int(x) for x in grid[i])
+            best_n = tuple(int(x) for x in grid[:, i])
     return DiophantineReport(
         vector=tuple(float(x) for x in v),
         tau=tau,

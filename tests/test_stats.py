@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,6 @@ from nilwalk.stats import (
     lemma_a1_check,
 )
 from nilwalk.walk import (
-    CHUNK,
     Character,
     golden_heisenberg_config,
     sample_paths,
@@ -181,25 +179,11 @@ def test_clt_needs_positive_walk_length(N):
         clt_experiment(quarters_config(), Character((1,)), N=N, trials=200, seed=1)
 
 
-def test_clt_deterministic(monkeypatch):
+def test_clt_deterministic():
     cfg = quarters_config()
     a = clt_experiment(cfg, Character((1,)), N=64, trials=300, seed=9)
     b = clt_experiment(cfg, Character((1,)), N=64, trials=300, seed=9)
     assert a == b
-    # two chunks, so two workers run them through the process pool
-    trials = CHUNK + 100
-    one = clt_experiment(cfg, Character((1,)), N=8, trials=trials, seed=9)
-    pools = []
-
-    class Pool(futures.ProcessPoolExecutor):
-        def __init__(self, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(**kwargs)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setenv("NILWALK_WORKERS", "2")
-    pooled = clt_experiment(cfg, Character((1,)), N=8, trials=trials, seed=9)
-    assert pools == [2] and pooled == one
 
 
 def test_import_leaves_scipy_stats_unloaded():

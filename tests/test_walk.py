@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from concurrent import futures
 from fractions import Fraction
@@ -26,7 +25,6 @@ from nilwalk.walk import (
     transfer_eigenvalue,
     validate_observable,
     walk_config,
-    worker_count,
 )
 
 F = Fraction
@@ -381,64 +379,32 @@ def test_correlation_tracks_eigenvalue_power():
             assert pt.samples == 20_000
 
 
-def test_correlation_deterministic_and_worker_independent():
+def test_correlation_deterministic():
     cfg = circle_config(0, F(PHI))
     ch = Character((1,))
     a = correlation_sweep(cfg, [ch], [8], samples=10_000, seed=3)[ch]
     b = correlation_sweep(cfg, [ch], [8], samples=10_000, seed=3)[ch]
     assert a == b
-    old = os.environ.get("NILWALK_WORKERS")
-    os.environ["NILWALK_WORKERS"] = "2"
-    try:
-        c = correlation_sweep(cfg, [ch], [8], samples=10_000, seed=3)[ch]
-    finally:
-        if old is None:
-            del os.environ["NILWALK_WORKERS"]
-        else:
-            os.environ["NILWALK_WORKERS"] = old
-    assert a == c
 
 
-def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    """A fork pool starts all its workers at once, so it gets no more than
-    there are chunks.  The fake pool maps serially: no process starts."""
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", SerialPool)
+def test_chunks_run_in_process_whatever_the_environment(monkeypatch):
+    """Chunks run in this process, in order, whatever NILWALK_WORKERS
+    says: no run of several chunks starts a process pool."""
     cfg = circle_config(0, F(PHI))
     ch = Character((1,))
     samples = 2 * CHUNK + 5  # three chunks
+    trials = CHUNK + 100  # two chunks
     monkeypatch.delenv("NILWALK_WORKERS", raising=False)
-    want = correlation_sweep(cfg, [ch], [8], samples=samples, seed=3)
-    for workers, cap in (("2", 2), ("3", 3), ("5000", 3)):
-        monkeypatch.setenv("NILWALK_WORKERS", workers)
-        assert correlation_sweep(cfg, [ch], [8], samples=samples, seed=3) == want
-        assert pools[-1] == cap
-    assert len(pools) == 3
+    sweep = correlation_sweep(cfg, [ch], [8], samples=samples, seed=3)
+    clt = clt_experiment(cfg, ch, N=8, trials=trials, seed=9)
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a chunk run started a process pool")
 
-def test_worker_count_parses_or_rejects(monkeypatch):
-    monkeypatch.delenv("NILWALK_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("NILWALK_WORKERS", "3")
-    assert worker_count() == 3
-    for raw in ("abc", "", "1.5", "0", "-2"):
-        monkeypatch.setenv("NILWALK_WORKERS", raw)
-        with pytest.raises(ValueError, match="NILWALK_WORKERS"):
-            worker_count()
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("NILWALK_WORKERS", "2")
+    assert correlation_sweep(cfg, [ch], [8], samples=samples, seed=3) == sweep
+    assert clt_experiment(cfg, ch, N=8, trials=trials, seed=9) == clt
 
 
 def test_correlation_rejects_invalid_observable():

@@ -316,7 +316,9 @@ def reference_scan(vector, tau, q_max):
         norms = np.max(np.abs(block), axis=1)
         mask = norms > 0
         block, norms = block[mask], norms[mask]
-        r = block @ v
+        r = block[:, 0] * v[0]  # n.v left to right, as the scan sums it
+        for j in range(1, d):
+            r = r + block[:, j] * v[j]
         dist = np.abs(r - np.round(r))
         vals = dist * norms**tau
         i = int(np.argmin(vals))
@@ -362,18 +364,19 @@ def test_scan_matches_per_leading_value_reference():
 
 
 def test_scan_matvecs_stay_under_chunk_entries(monkeypatch):
-    # at d = 4, q_max = 31 one leading value carries 63^3 rows, about four
-    # times SCAN_CHUNK_ENTRIES entries; bigger products took OpenBLAS's
-    # threaded path, so the box is chunked by two-value prefixes
+    # at d = 4, q_max = 31 one leading value carries 63^3 points, about
+    # four times SCAN_CHUNK_ENTRIES entries, so the box is chunked by
+    # two-value prefixes
     assert 4 * 63**3 > words.SCAN_CHUNK_ENTRIES
     sizes = []
-    matmul = np.matmul
+    scan_chunk = words._scan_chunk
 
-    def spy(a, b, **kwargs):
-        sizes.append(a.size)
-        return matmul(a, b, **kwargs)
+    def spy(*key):
+        chunk = scan_chunk(*key)
+        sizes.append(chunk[0].size)
+        return chunk
 
-    monkeypatch.setattr(np, "matmul", spy)
+    monkeypatch.setattr(words, "_scan_chunk", spy)
     vector = [0.3125, -0.7734, 0.1187, math.sqrt(2.0) - 1.0]
     rep = diophantine_estimate(vector, tau=4.0, q_max=31)
     monkeypatch.undo()
