@@ -15,6 +15,10 @@ g^(p+1), which verify_word_bracket_identity checks exactly, level by
 level.  The counts satisfy k_q >= k_{q-1} componentwise for q >= 2; k_0
 and k_1 are unconstrained.
 
+The pair search takes each candidate's level-p block from the right-hand
+side alone, one nested bracket of its k-sequence, and builds no word;
+verify_word_bracket_identity is the check that the shortcut is exact.
+
 Only levels <= p are ever read, so both the identity check and the pair
 search evaluate in the quotient g / g^(p+1): the projection onto it is a
 Lie algebra homomorphism, and in the adapted basis it drops the trailing
@@ -27,11 +31,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
-from .bch import Word, bch_product, word_eval
-from .lie_core import LieVector, StructureConstants, nested_bracket, project, quotient_algebra
+from .bch import Word, bch_product, bch_word_coefficients, word_eval
+from .lie_core import LieVector, StructureConstants, nested_bracket, quotient_algebra
 
 __all__ = [
     "WordPair",
@@ -84,19 +89,25 @@ def build_lr(p: int, seeds, m: int) -> WordPair:
     if p == 0 and len(w0) != len(w0p):
         raise ValueError("level-0 pairs need base words of equal length")
 
-    c0 = w0.counts(m)
-    c0p = w0p.counts(m)
-    k_seq = [tuple(a - b for a, b in zip(c0, c0p))]
     left, right = w0, w0p
-    right_counts = c0p
-    for q in range(1, p + 1):
-        wq = seeds[q + 1]
-        k_seq.append(tuple(a + b for a, b in zip(right_counts, wq.counts(m))))
+    for wq in seeds[2:]:
         left, right = left + wq + right, right + wq + left
-        right_counts = right.counts(m)
-    return WordPair(
-        w1=left, w2=right, level=p, m=m, k_sequence=tuple(k_seq), seeds=seeds
-    )
+    ks = _k_sequence([w.counts(m) for w in seeds])
+    return WordPair(w1=left, w2=right, level=p, m=m, k_sequence=ks, seeds=seeds)
+
+
+def _k_sequence(counts):
+    """k_0..k_p from the letter counts of the seeds (w0, w0', w1, ..., wp).
+
+    No word is built: from q = 1 on, L_q and R_q are anagrams, each
+    counting c(L_{q-1}) + k_q letters, with k_q = c(R_{q-1}) + c(w_q).
+    """
+    left, right = counts[0], counts[1]
+    ks = [tuple(map(sub, left, right))]
+    for c in counts[2:]:
+        ks.append(tuple(map(add, right, c)))
+        left = right = tuple(map(add, left, ks[-1]))
+    return tuple(ks)
 
 
 @dataclass(frozen=True)
@@ -123,33 +134,14 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
     test suite cross-checks it against word_eval on small cases.  The
     generators are LieVector logs.
     """
-    return _lr_logs(sc, pair.seeds, generators, {})
-
-
-def _lr_logs(sc: StructureConstants, seeds, generators, memo):
-    """(log L_q, log R_q) for q = len(seeds) - 2, from the seed Words.
-
-    memo maps each seed Word to its log and each seed prefix (a tuple of
-    Words) to its level's pair of logs.  (L_q, R_q) depends only on
-    seeds[:q+2], so callers that share one memo across many seed tuples
-    evaluate every common prefix once.
-    """
-    if seeds in memo:
-        return memo[seeds]
-    for w in seeds:
-        if w not in memo:
-            memo[w] = word_eval(sc, w, generators)
-    if len(seeds) == 2:
-        out = (memo[seeds[0]], memo[seeds[1]])
-    else:
-        logL, logR = _lr_logs(sc, seeds[:-1], generators, memo)
-        logw = memo[seeds[-1]]
-        out = (
-            bch_product(sc, bch_product(sc, logL, logw), logR),
-            bch_product(sc, bch_product(sc, logR, logw), logL),
+    log = {w: word_eval(sc, w, generators) for w in set(pair.seeds)}
+    logL, logR = log[pair.seeds[0]], log[pair.seeds[1]]
+    for w in pair.seeds[2:]:
+        logL, logR = (
+            bch_product(sc, bch_product(sc, logL, log[w]), logR),
+            bch_product(sc, bch_product(sc, logR, log[w]), logL),
         )
-    memo[seeds] = out
-    return out
+    return logL, logR
 
 
 def _in_quotient(sc: StructureConstants, p: int, generators):
@@ -159,6 +151,13 @@ def _in_quotient(sc: StructureConstants, p: int, generators):
         raise ValueError(f"generators must have dimension {sc.dim}")
     q_sc = quotient_algebra(sc, p)
     return q_sc, [LieVector(g.coords[: q_sc.dim]) for g in gens]
+
+
+def _integer_columns(gens):
+    """(cols, d): d is the generators' common denominator and cols[j][i]
+    is coordinate j of d times generator i, an int."""
+    d = math.lcm(*(g.den for g in gens))
+    return list(zip(*([x * (d // g.den) for x in g.nums] for g in gens))), d
 
 
 def verify_word_bracket_identity(
@@ -179,9 +178,7 @@ def verify_word_bracket_identity(
     logL, logR = word_pair_logs(q_sc, pair, gens)
     word_log = bch_product(q_sc, logL, -logR)
 
-    gens = gens[: pair.m]
-    d = math.lcm(*(g.den for g in gens))
-    cols = list(zip(*([x * (d // g.den) for x in g.nums] for g in gens)))
+    cols, d = _integer_columns(gens[: pair.m])
     acc = nested_bracket(q_sc, pair.k_sequence, cols)
     bracket_log = LieVector._of(acc, q_sc.integer_table[0] ** pair.level * d ** (pair.level + 1))
 
@@ -308,10 +305,13 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     k, runs = _prefix_runs(d, q_max)
     for a, b in runs:
         grid, weight, zero = _scan_chunk(d, q_max, tau, k, a, b)
-        r = grid[0] * v[0]  # n.v, summed left to right
+        vals = grid[0] * v[0]  # n.v, summed left to right
+        tmp = np.empty_like(vals)
         for row, x in zip(grid[1:], v[1:]):
-            r += row * x
-        vals = np.abs(r - np.round(r)) * weight
+            vals += np.multiply(row, x, out=tmp)
+        np.subtract(vals, np.rint(vals, out=tmp), out=vals)
+        np.abs(vals, out=vals)
+        vals *= weight
         vals[zero] = math.inf
         i = int(np.argmin(vals))
         if vals[i] < best:
@@ -354,15 +354,6 @@ class NicePairSearch:
     zero_count: int
 
 
-def _seed_words(m, allow_empty):
-    words = []
-    if allow_empty:
-        words.append(())
-    words.extend((i,) for i in range(m))
-    words.extend((i, j) for i in range(m) for j in range(m))
-    return [Word(w) for w in words]
-
-
 def nice_pair_search(
     sc: StructureConstants,
     generators,
@@ -376,16 +367,18 @@ def nice_pair_search(
     Seeds run over words of length 1..2 for the base pair and length 0..2
     for the fillers, in a fixed lexicographic order, capped at budget.
     For every candidate the exact level-p block of log(W1 W2^(-1)) is
-    computed in g / g^(p+1); zero blocks are skipped (for a
-    two-degenerate level every candidate lands there, and the search
-    reports failure), nonzero blocks are scanned and the largest
-    gamma_hat wins.  Ties keep the
-    earliest candidate, so results are reproducible.
+    taken from the bracket identity: it is the level-p block of
+    [ ... [k_0 V, k_1 V], ..., k_p V ], one nested_bracket in
+    g / g^(p+1) on the generators' integer numerators, with the k's
+    counted from the seed words and no word built or evaluated.
+    verify_word_bracket_identity is the exact check of that identity,
+    and a quotient deeper than its BCH series is refused here too.
+    Zero blocks are skipped (for a two-degenerate level every candidate
+    lands there, and the search reports failure), nonzero blocks are
+    scanned and the largest gamma_hat wins.  Ties keep the earliest
+    candidate, so results are reproducible.
 
-    Candidates that share a seed prefix share its L/R logs: the search
-    keeps every seed-word log and every prefix's level logs for the
-    length of the call, so a candidate costs one level step, one product
-    for W1 W2^(-1) and one scan of the box, whose chunks
+    A candidate costs p brackets and one scan of the box, whose chunks
     diophantine_estimate caches.  Without q_max, the scan uses
     default_q_max(d), a box of at most 201^3 points up to d = 14.
     """
@@ -403,9 +396,16 @@ def nice_pair_search(
     if q_max is None:
         q_max = default_q_max(n_p)
 
-    bases = _seed_words(m, allow_empty=False)
-    fillers = _seed_words(m, allow_empty=True)
-    memo = {}  # seed Word or seed prefix -> logs, see _lr_logs
+    # refuse a quotient deeper than the BCH series, so that every returned
+    # pair stays checkable by verify_word_bracket_identity
+    bch_word_coefficients(q_sc.step)
+    cols, d = _integer_columns(gens)
+    den = q_sc.integer_table[0] ** p * d ** (p + 1)
+    level = q_sc.series.level_indices(p)
+
+    bases = [Word((i,)) for i in range(m)] + [Word((i, j)) for i in range(m) for j in range(m)]
+    fillers = [Word(())] + bases
+    counts = {w: w.counts(m) for w in fillers}
     tried = 0
     zeros = 0
     best = None  # (gamma_hat, seeds, report, vec)
@@ -413,14 +413,13 @@ def nice_pair_search(
         if tried >= budget:
             break
         tried += 1
-        logL, logR = _lr_logs(q_sc, seeds, gens, memo)
-        h = bch_product(q_sc, logL, -logR)
-        block = project(q_sc, h, p)
+        acc = nested_bracket(q_sc, _k_sequence([counts[w] for w in seeds]), cols)
+        block = [acc[i] for i in level]
         if not any(block):
             zeros += 1
             continue
         try:
-            vec = tuple(float(x) for x in block)
+            vec = tuple(x / den for x in block)  # int / int rounds correctly
         except OverflowError:
             raise ValueError(
                 f"a level-{p} displacement has a coordinate too large for a float"

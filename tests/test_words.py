@@ -452,6 +452,9 @@ def reference_search(sc, gens, p, tau, q_max, budget):
         if tried >= budget:
             break
         tried += 1
+        if seeds[0] == seeds[1]:  # then L_q = R_q at every level: W1 W2^(-1) = 1
+            zeros += 1
+            continue
         pair = build_lr(p, seeds, m)
         logL, logR = word_pair_logs(q_sc, pair, gens)
         block = project(q_sc, bch_product(q_sc, logL, -logR), p)
@@ -489,10 +492,36 @@ def test_search_matches_per_candidate_reference():
     assert positive  # the largest-gamma rule is exercised, not only ties at 0
 
 
-def test_search_steps_each_prefix_once(monkeypatch):
+def test_search_matches_reference_across_corpus():
+    """The bracket-identity shortcut agrees with evaluating the words, for
+    every corpus algebra at every level, with two and three generators.
+    The first base pair, ((0), (0)), takes the first fillers^p candidates,
+    all zero; each budget runs two filler sweeps past them, and every such
+    level finds a nonzero block.  Only where that run is over 30,000
+    candidates (three generators at level 5) does the budget stay in it."""
+    rng = random.Random(28)
+    nonzero = set()
+    for label, sc in catalog.default_corpus():
+        for m in (2, 3):
+            gens = rational_generators(sc, m, seed=rng.randint(0, 999))
+            fillers = 1 + m + m * m
+            for p in range(1, sc.step):
+                budget = fillers**p + 2 * fillers if fillers**p <= 30_000 else 60
+                tau = float(sc.dims[p])
+                res = nice_pair_search(sc, gens, p, tau=tau, q_max=2, budget=budget)
+                assert res == reference_search(sc, gens, p, tau, 2, budget), (label, m, p)
+                assert res.tried == budget
+                if res.found:
+                    nonzero.add((m, p))
+    assert nonzero == {(2, p) for p in range(1, 6)} | {(3, p) for p in range(1, 5)}
+
+
+def test_search_takes_one_nested_bracket_per_candidate(monkeypatch):
+    """The search builds no word log: one nested_bracket per candidate and
+    not a single BCH product or word evaluation."""
     sc = catalog.example_3_2()
     gens = rational_generators(sc, 2, seed=5)
-    calls = {"bch_product": 0, "word_eval": 0}
+    calls = {"bch_product": 0, "word_eval": 0, "nested_bracket": 0}
 
     def counted(name):
         fn = getattr(words, name)
@@ -506,14 +535,6 @@ def test_search_steps_each_prefix_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(words, name, counted(name))
     budget = 56
-    nice_pair_search(sc, gens, 2, q_max=3, budget=budget)
-    bases = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-    candidates = list(
-        itertools.islice(itertools.product(bases, bases, [()] + bases, [()] + bases), budget)
-    )
-    level1 = {seeds[:3] for seeds in candidates}
-    assert len(level1) == 8
-    # four products per level-1 prefix, then per candidate four for its
-    # level-2 step and one for W1 W2^(-1); one log per distinct seed word
-    assert calls["bch_product"] == 4 * len(level1) + 5 * budget
-    assert calls["word_eval"] == len({w for seeds in candidates for w in seeds})
+    res = nice_pair_search(sc, gens, 2, q_max=3, budget=budget)
+    assert res.found and res.tried == budget
+    assert calls == {"bch_product": 0, "word_eval": 0, "nested_bracket": budget}
