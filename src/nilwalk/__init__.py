@@ -29,7 +29,6 @@ from .pencil import (
     GreatnessCertificate,
     LevelCertificate,
     MultiPoly,
-    Pencil,
     PolyRing,
     build_pencil,
     certify_greatness,

@@ -205,12 +205,12 @@ def cmd_check(args):
 
 def cmd_pencil(args):
     sc = parse_algebra(args.algebra)
-    pencil = build_pencil(sc, args.m, args.p)
+    coords = build_pencil(sc, args.m, args.p)
     doc = {
         "m": args.m,
         "level": args.p,
-        "identically_zero": pencil.is_identically_zero(),
-        "coordinates": [str(c) for c in pencil.coords],
+        "identically_zero": not any(coords),
+        "coordinates": [str(c) for c in coords],
     }
     if args.k:
         rows = [

@@ -117,7 +117,7 @@ def non_integral_point(poly):
     if not bad:
         return None
     k = min(bad, key=lambda k: (sum(k), k))
-    return k, poly.evaluate(dict(zip(poly.ring.names, k)))
+    return k, poly.restrict(dict(zip(poly.ring.names, k)), PolyRing(())).terms.get((), 0)
 
 
 class SecondKindSystem:
@@ -183,7 +183,7 @@ class SecondKindSystem:
     def _restricted_law(self, values, keep):
         """P with the variables in `values` fixed, as a map of `keep`."""
         target = PolyRing(keep)
-        return CompiledMap(len(keep), [p.substitute(values).project(target) for p in self._law])
+        return CompiledMap(len(keep), [p.restrict(values, target) for p in self._law])
 
     def translation_map(self, a: LieVector) -> CompiledMap:
         """t -> coordinates of exp(a) g(t), as a compiled polynomial map."""

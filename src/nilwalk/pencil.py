@@ -46,9 +46,7 @@ from .lie_core import StructureConstants, nested_bracket, quotient_algebra
 __all__ = [
     "PolyRing",
     "MultiPoly",
-    "Pencil",
     "alpha_ring",
-    "generic_nested_bracket",
     "build_pencil",
     "pencil_at_k",
     "linearly_independent",
@@ -199,64 +197,37 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in descending graded-lexicographic order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
-
-    def substitute(self, values):
-        """Partial substitution {name: rational}; stays in the same ring."""
-        idx = {self.ring.index[n]: Fraction(v) for n, v in values.items()}
-        out = {}
-        for m, c in self.terms.items():
-            coef = c
-            newm = list(m)
-            for i, v in idx.items():
-                if m[i]:
-                    coef = coef * v ** m[i]
-                    newm[i] = 0
-            if not coef:
-                continue
-            key = tuple(newm)
-            s = out.get(key, 0) + coef
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MultiPoly(self.ring, out)
-
-    def evaluate(self, values):
-        """Full evaluation; values maps every occurring variable name."""
-        total = Fraction(0)
-        cache = {n: Fraction(values[n]) for n in values}
-        for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    term *= cache[self.ring.names[i]] ** e
-            total += term
-        return total
-
-    def project(self, target: PolyRing):
-        """Re-express in another ring; all used variables must exist there."""
-        mapping = []
-        for i, n in enumerate(self.ring.names):
-            mapping.append(target.index.get(n))
+    def restrict(self, values, target: PolyRing):
+        """Substitute the exact rationals {name: value} for some variables
+        and re-express the rest in the ring target, which must hold every
+        variable left in a term."""
+        plan = [
+            (Fraction(values[n]), None) if n in values else (None, target.index.get(n))
+            for n in self.ring.names
+        ]
         out = {}
         for m, c in self.terms.items():
             newm = [0] * target.nvars
             for i, e in enumerate(m):
-                if e:
-                    if mapping[i] is None:
-                        raise ValueError(f"variable {self.ring.names[i]} not in target ring")
-                    newm[mapping[i]] = e
-            out[tuple(newm)] = out.get(tuple(newm), 0) + c
+                if not e:
+                    continue
+                v, slot = plan[i]
+                if v is not None:
+                    c = c * v**e
+                elif slot is None:
+                    raise ValueError(f"variable {self.ring.names[i]} not in target ring")
+                else:
+                    newm[slot] = e
+            key = tuple(newm)
+            out[key] = out.get(key, 0) + c
         return MultiPoly(target, out)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        # descending graded-lexicographic order: canonical
+        for m, c in sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True):
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -305,10 +276,10 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
 
     W_q = sum_i weights[q][i] V_i over the generic level-0 vectors
     V_i = sum_j a_{i,j} X_j of ring.  A weight is a ring element (a
-    symbolic k) or a number (an integer k, or a unit row picking one
-    V_i).  Components beyond level 0 would die in every pencil level (a
-    bracket slot in g^(1) pushes the whole nested bracket past the level
-    being read off), so the V_i have none.
+    symbolic k) or a number (an integer or rational k).  Components
+    beyond level 0 would die in every pencil level (a bracket slot in
+    g^(1) pushes the whole nested bracket past the level being read
+    off), so the V_i have none.
 
     One nested_bracket on g/g^(p+1) gives D^p times the bracket, D the
     quotient's own denominator, so integer weights keep every coefficient
@@ -334,40 +305,14 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     return out
 
 
-def generic_nested_bracket(sc: StructureConstants, indices):
-    """Level-p coordinates of [ ... [V_{i_0}, V_{i_1}], ..., V_{i_p} ].
-
-    indices are 0-based generic-vector labels; p = len(indices) - 1.
-    Returns a list of n_p polynomials over alpha_ring(max+1, n0).
-    """
-    indices = tuple(int(i) for i in indices)
-    if len(indices) < 1:
-        raise ValueError("need at least one index")
-    m = max(indices) + 1
-    units = [[int(i == t) for i in range(m)] for t in indices]
-    return _nested_level(sc, alpha_ring(m, sc.dims[0]), units)
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """Symbolic H_{m,p} with both the a and k blocks kept as variables."""
-
-    m: int
-    p: int
-    coords: tuple  # n_p polynomials over pencil_ring(m, n0, p)
-    ring: PolyRing
-
-    def is_identically_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-
-def build_pencil(sc: StructureConstants, m: int, p: int) -> Pencil:
-    """The full symbolic pencil at level p."""
+def build_pencil(sc: StructureConstants, m: int, p: int):
+    """The full symbolic pencil at level p: n_p polynomials over
+    pencil_ring(m, n0, p), with both the a and k blocks kept as variables."""
     if m < 1:
         raise ValueError("m must be positive")
     ring = pencil_ring(m, sc.dims[0], p)
     kvars = [[ring.var(f"k{q}_{i + 1}") for i in range(m)] for q in range(p + 1)]
-    return Pencil(m=m, p=p, coords=tuple(_nested_level(sc, ring, kvars)), ring=ring)
+    return _nested_level(sc, ring, kvars)
 
 
 def _is_matrix(k, rows, cols):
@@ -388,8 +333,6 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     build_pencil(sc, m, p), but one nested bracket of numeric
     combinations.
     """
-    if not (0 <= p < sc.step):
-        raise ValueError(f"level {p} out of range for step {sc.step}")
     kbar = [tuple(row) for row in kbar]
     if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
         raise ValueError(f"k must be {p + 1} rows of length {m}")
@@ -538,10 +481,10 @@ class GreatnessCertificate:
                     return False
             elif lv.status == "degenerate":
                 if lv.proof == "identically_zero":
-                    if not build_pencil(sc, m, p).is_identically_zero():
+                    if any(build_pencil(sc, m, p)):
                         return False
                 elif lv.proof == "uniform_kernel":
-                    coords = build_pencil(sc, m, p).coords
+                    coords = build_pencil(sc, m, p)
                     kernel = lv.kernel
                     if not (
                         _is_matrix((kernel,), 1, len(coords))
@@ -592,25 +535,26 @@ def _structured_candidates(m, p):
     return tuple(dict.fromkeys(out))
 
 
-def _symbolic_proof(pen: Pencil, tried: int):
-    """The degenerate LevelCertificate that pen proves, or None.
+def _symbolic_proof(p, coords, tried):
+    """The degenerate LevelCertificate that the symbolic level-p pencil
+    coords proves, or None.
 
     Either every coordinate is the zero polynomial, or one rational kernel
     annihilates the whole symbolic pencil, hence every integer evaluation.
     """
-    if pen.is_identically_zero():
+    if not any(coords):
         return LevelCertificate(
-            p=pen.p,
+            p=p,
             status="degenerate",
             proof="identically_zero",
             tried=tried,
-            polys=tuple(str(c) for c in pen.coords),
+            polys=tuple(str(c) for c in coords),
         )
-    ok, kernel = linearly_independent(list(pen.coords))
+    ok, kernel = linearly_independent(coords)
     if ok:
         return None
     return LevelCertificate(
-        p=pen.p, status="degenerate", kernel=tuple(kernel), proof="uniform_kernel", tried=tried
+        p=p, status="degenerate", kernel=tuple(kernel), proof="uniform_kernel", tried=tried
     )
 
 
@@ -663,12 +607,12 @@ def certify_greatness(
                 break
             if drawn and pen is None:
                 pen = build_pencil(sc, m, p)
-                cert = _symbolic_proof(pen, tried)
+                cert = _symbolic_proof(p, pen, tried)
                 if cert is not None:
                     rng.setstate(undrawn)
                     break
             tried += 1
         if cert is None and pen is None:
-            cert = _symbolic_proof(build_pencil(sc, m, p), tried)
+            cert = _symbolic_proof(p, build_pencil(sc, m, p), tried)
         levels.append(cert or LevelCertificate(p=p, status="undetermined", tried=tried))
     return GreatnessCertificate(m=m, step=sc.step, levels=tuple(levels))

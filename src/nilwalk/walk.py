@@ -157,10 +157,17 @@ class Character:
         return math.sqrt(sum(v * v for v in self.lam))
 
     def values(self, t):
-        """Evaluate on an (N, dim) batch of coordinate tuples."""
+        """Evaluate on an (N, dim) batch of coordinate tuples, or on one.
+
+        lam.t is t_0 lam_0 + t_1 lam_1 + ... summed left to right in
+        elementwise products, not a BLAS product, whose rounding moves
+        with the kernel (with or without FMA)."""
         t = np.asarray(t, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        phase = t @ lam if t.ndim > 1 else float(t @ lam)
+        if t.shape[-1:] != (len(self.lam),):
+            raise ValueError(f"expected {len(self.lam)} coordinates, got shape {t.shape}")
+        phase = t[..., 0] * float(self.lam[0])
+        for k in range(1, len(self.lam)):
+            phase += t[..., k] * float(self.lam[k])
         return np.exp(2j * np.pi * phase)
 
     def __repr__(self):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -272,28 +273,32 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     order, and their weights |n|^tau come from a cache of the last 8
     chunks built.  n.v is n_0 v_0 + n_1 v_1 + ... summed left to right
     in elementwise products, not a BLAS product, whose rounding moves
-    with the kernel (with or without FMA).  The first minimum is kept
-    across chunks.  Non-finite input, an error bound that overflows and
-    a box of more than MAX_SCAN_POINTS points raise ValueError before
-    any allocation.
+    with the kernel (with or without FMA).  The weight |n|^tau is numpy's
+    power, whose last bit can move with its SIMD dispatch for a tau that
+    is not an integer or a power past 2^53; the default tau = d is exact
+    in every admitted box.  The first minimum is kept across chunks.
+    Non-finite input, an error bound that overflows and a box of more
+    than MAX_SCAN_POINTS points raise ValueError before any allocation.
     """
-    v = np.asarray([float(x) for x in vector], dtype=float)
-    d = v.size
+    floats = [float(x) for x in vector]
+    d = len(floats)
     if d == 0:
         raise ValueError("empty vector")
     if q_max < 1:
         raise ValueError("q_max must be positive")
     tau = float(tau)
-    if not (math.isfinite(tau) and np.all(np.isfinite(v))):
-        raise ValueError(f"Diophantine scan needs finite input: tau={tau}, vector={v.tolist()}")
+    if not (math.isfinite(tau) and all(map(math.isfinite, floats))):
+        raise ValueError(f"Diophantine scan needs finite input: tau={tau}, vector={floats}")
     points = (2 * q_max + 1) ** d
     if points > MAX_SCAN_POINTS:
         raise ValueError(
             f"Diophantine scan too large: d={d}, q_max={q_max} covers {points} "
             f"points, over the budget of {MAX_SCAN_POINTS}; lower q_max"
         )
-    eps = np.finfo(float).eps
+    v = np.asarray(floats)
+    eps = sys.float_info.epsilon
     try:
+        # np.sum's pairwise order, not a left-to-right sum, fixes the last digit
         err = eps * (1.0 + q_max * float(np.sum(np.abs(v)))) * float(q_max) ** tau
     except OverflowError:
         err = math.inf
@@ -318,7 +323,7 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
             best = float(vals[i])
             best_n = tuple(int(x) for x in grid[:, i])
     return DiophantineReport(
-        vector=tuple(float(x) for x in v),
+        vector=tuple(floats),
         tau=tau,
         q_max=int(q_max),
         gamma_hat=best,

@@ -42,7 +42,7 @@ from nilwalk.pencil import (
     alpha_ring,
     build_pencil,
     certify_greatness,
-    generic_nested_bracket,
+    pencil_at_k,
 )
 from nilwalk.stats import clt_experiment, lemma_a1_check
 from nilwalk.walk import (
@@ -139,8 +139,8 @@ def test_01_step4_counterexample(capsys):
     ok = ok and cert.verify(sc)
 
     # the two natural 4-letter nested brackets vanish as polynomials
-    for word in ((0, 1, 0, 0), (0, 1, 0, 1)):
-        polys = generic_nested_bracket(sc, word)
+    for rows in ([(1, 0), (0, 1), (1, 0), (1, 0)], [(1, 0), (0, 1), (1, 0), (0, 1)]):
+        polys = pencil_at_k(sc, 2, 3, rows)
         ok = ok and len(polys) > 0 and all(p.is_zero() for p in polys)
 
     dt = time.monotonic() - t0
@@ -151,7 +151,7 @@ def test_01_step4_counterexample(capsys):
 
 def test_02_nested_bracket_reproduction(capsys):
     sc = catalog.example_3_2()
-    polys = generic_nested_bracket(sc, (0, 1, 0))
+    polys = pencil_at_k(sc, 2, 2, [(1, 0), (0, 1), (1, 0)])
 
     ring = alpha_ring(2, 2)
     a11, a12 = ring.var("a1_1"), ring.var("a1_2")
@@ -162,7 +162,7 @@ def test_02_nested_bracket_reproduction(capsys):
     # the same coordinates fall out of the symbolic pencil at the
     # matching unit k-pattern
     subs = {"k0_1": 1, "k0_2": 0, "k1_1": 0, "k1_2": 1, "k2_1": 1, "k2_2": 0}
-    at_k = [c.substitute(subs).project(ring) for c in build_pencil(sc, 2, 2).coords]
+    at_k = [c.restrict(subs, ring) for c in build_pencil(sc, 2, 2)]
     ok = ok and [str(p) for p in at_k] == [str(p) for p in expected]
 
     _emit(capsys, 2, "dim-5 nested bracket", ok,

@@ -501,6 +501,11 @@ STDOUT_SHA256 = [
     (["words", "triangular:3", "-p", "1", "--generator", "phi,sigma,0,0,0,0",
       "--generator", "sigma,sqrt2,phi,0,0,0", "--budget", "30"], 0,
      "16da789fdd8054993e222b283744548d7c3368e2673b7c3a5bf3ebdb886ee777"),
+    # a two-coordinate phase lam.t, which a BLAS product rounds by kernel
+    (["correlate", "--algebra", "heisenberg", "--generator", "phi,sigma,0",
+      "--generator", "sigma,sqrt2,0", "--character", "3,3", "--times", "4,16",
+      "--samples", "1000", "--seed", "1"], 0,
+     "1ddf41cd53893b63976a98649ffc59189e558902251cebf0494d6a4f7d12f79e"),
 ]
 
 

@@ -169,6 +169,7 @@ def test_lattice_error_witness_is_not_integral():
         out = sys.sk_from_log(bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(s)))
         assert out[err.coordinate].denominator != 1, name
         assert str(err.points[0]) in str(err)
+        assert str(err).endswith(f"coordinate {err.coordinate} is {out[err.coordinate]}"), name
 
 
 def test_binomial_basis_decides_integer_values():

@@ -30,7 +30,6 @@ from nilwalk.pencil import (
     alpha_ring,
     build_pencil,
     certify_greatness,
-    generic_nested_bracket,
     linearly_independent,
     pencil_at_k,
     pencil_ring,
@@ -66,12 +65,20 @@ def test_ring_laws(a, b, c):
     assert a * RING.const(1) == a
 
 
-def test_substitute_then_evaluate():
+def test_restrict():
     u, v = RING.var("u"), RING.var("v")
     p = u * u * v - 2 * v + 1
-    q = p.substitute({"u": F(3)})
-    assert q == 9 * v - 2 * v + 1
-    assert p.evaluate({"u": F(3), "v": F(1, 2), "w": F(0)}) == F(9, 2) - 1 + 1
+    assert p.restrict({"u": F(3)}, RING) == 9 * v - 2 * v + 1
+    # the rest renamed into a smaller ring, which need not hold unused w
+    small = PolyRing(["v"])
+    assert p.restrict({"u": 3}, small) == 7 * small.var("v") + 1
+    # full evaluation: the constant term of a restriction into no variables
+    empty = PolyRing(())
+    assert p.restrict({"u": F(3), "v": F(1, 2), "w": F(0)}, empty).terms == {(): F(9, 2)}
+    assert p.restrict({"u": 1, "v": 1}, empty).is_zero()
+    assert (u * v - v).restrict({"u": F(1)}, small).is_zero()
+    with pytest.raises(ValueError, match="variable v not in target ring"):
+        p.restrict({"u": 3}, empty)
 
 
 def test_str_is_canonical():
@@ -143,7 +150,7 @@ def test_symbolic_pencil_matches_pointwise_evaluation():
     pencil = build_pencil(sc, 2, 2)
     rows = [(2, -1), (1, 1), (0, 3)]
     subs = {f"k{q}_{i + 1}": v for q, row in enumerate(rows) for i, v in enumerate(row)}
-    via_symbol = [c.substitute(subs).project(alpha_ring(2, 2)) for c in pencil.coords]
+    via_symbol = [c.restrict(subs, alpha_ring(2, 2)) for c in pencil]
     direct = pencil_at_k(sc, 2, 2, rows)
     assert list(via_symbol) == list(direct)
 
@@ -152,9 +159,9 @@ def test_deeper_generator_components_are_irrelevant():
     # the pencil projects to level p, where only level-0 parts survive;
     # this is why generic vectors carry level-0 variables only
     sc = catalog.heisenberg()
-    pencil = build_pencil(sc, 2, 1)
-    assert set(pencil.ring.names) >= {"a1_1", "a2_2", "k0_1", "k1_2"}
-    assert not any("a1_3" in n for n in pencil.ring.names)
+    ring = build_pencil(sc, 2, 1)[0].ring
+    assert set(ring.names) >= {"a1_1", "a2_2", "k0_1", "k1_2"}
+    assert not any("a1_3" in n for n in ring.names)
 
 
 # -- the integer bracket table against a Fraction reference ----------------------
@@ -206,12 +213,12 @@ def test_integer_pencil_matches_fraction_reference(sc):
             word = tuple((q + q // m) % m for q in range(p + 1))
             units = [[F(int(i == t)) for i in range(max(word) + 1)] for t in word]
             ref = _fraction_level(sc, alpha_ring(len(units[0]), n0), units)
-            _assert_same_polys(generic_nested_bracket(sc, word), ref, word)
+            _assert_same_polys(pencil_at_k(sc, len(units[0]), p, units), ref, word)
 
             ring = pencil_ring(m, n0, p)
             kvars = [[ring.var(f"k{q}_{i + 1}") * F(1) for i in range(m)] for q in range(p + 1)]
             ref = _fraction_level(sc, ring, kvars)
-            _assert_same_polys(build_pencil(sc, m, p).coords, ref, (m, p))
+            _assert_same_polys(build_pencil(sc, m, p), ref, (m, p))
 
 
 def _full_chain_level(sc, weights, cols):

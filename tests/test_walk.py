@@ -96,6 +96,18 @@ def test_character_basics():
         Character((0, 0, 0))
 
 
+def test_character_phase_is_summed_left_to_right():
+    # bit for bit the elementwise sum: a BLAS product t @ lam can round
+    # with or without FMA by kernel
+    t = np.random.default_rng(1).random((8192, 3))
+    ref = np.exp(2j * np.pi * (t[:, 0] * 3.0 + t[:, 1] * 3.0 + t[:, 2] * 0.0))
+    assert Character((3, 3, 0)).values(t).tobytes() == ref.tobytes()
+    assert Character((3, 3, 0)).values(t[5]) == ref[5]
+    for width in (2, 4):
+        with pytest.raises(ValueError):
+            Character((3, 3, 0)).values(np.zeros((4, width)))
+
+
 def test_abelianized_box_count_and_order():
     box = abelianized_lambda_box(catalog.heisenberg(), 2)
     assert len(box) == 24  # 5^2 - 1
