@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -173,8 +174,10 @@ class CentralSeries:
         raise IndexError(i)
 
     def level_indices(self, p):
-        end = self.starts[p + 1] if p + 1 < self.step else sum(self.dims)
-        return range(self.starts[p], end)
+        """The level-p basis indices; every reader of a level checks p here."""
+        if not 0 <= p < self.step:
+            raise ValueError(f"level {p} out of range for step {self.step}")
+        return range(self.starts[p], self.starts[p] + self.dims[p])
 
 
 def _bracket_loop(table, dim, xs, ys):
@@ -223,8 +226,6 @@ class StructureConstants:
         if len(names) != dim:
             raise ValueError("names length must equal dim")
         self.names = tuple(str(n) for n in names)
-        self._series = None
-        self._integer = None
         self._quotients = {}
 
     # -- bracket ---------------------------------------------------------
@@ -240,21 +241,19 @@ class StructureConstants:
             raise ValueError("dimension mismatch in bracket")
         return _bracket_loop(self._table, self.dim, xs, ys)
 
-    @property
+    @cached_property
     def integer_table(self):
         """(D, table): the bracket table times its common denominator D.
 
         table has the shape of the rational one, {(i, j): ((k, w), ...)},
         with integer weights w = D * c_ij^k.  Built once per algebra.
         """
-        if self._integer is None:
-            D = lcm(*(w.denominator for pairs in self._table.values() for _, w in pairs))
-            table = {
-                ij: tuple((k, w.numerator * (D // w.denominator)) for k, w in pairs)
-                for ij, pairs in self._table.items()
-            }
-            self._integer = (D, table)
-        return self._integer
+        D = lcm(*(w.denominator for pairs in self._table.values() for _, w in pairs))
+        table = {
+            ij: tuple((k, w.numerator * (D // w.denominator)) for k, w in pairs)
+            for ij, pairs in self._table.items()
+        }
+        return D, table
 
     def integer_bracket(self, xs, ys):
         """D * [xs, ys] on integer coordinate sequences, D as in integer_table."""
@@ -269,11 +268,9 @@ class StructureConstants:
 
     # -- derived structure ------------------------------------------------
 
-    @property
+    @cached_property
     def series(self) -> CentralSeries:
-        if self._series is None:
-            self._series = lower_central_series(self)
-        return self._series
+        return lower_central_series(self)
 
     @property
     def step(self):
@@ -393,10 +390,7 @@ def project(sc: StructureConstants, x: LieVector, p: int):
 
     Linear in x; vanishes on g^(p+1) by the adapted-basis shape.
     """
-    ser = sc.series
-    if not (0 <= p < ser.step):
-        raise ValueError(f"level {p} out of range for step {ser.step}")
-    return tuple(Fraction(x.nums[i], x.den) for i in ser.level_indices(p))
+    return tuple(Fraction(x.nums[i], x.den) for i in sc.series.level_indices(p))
 
 
 def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
@@ -406,12 +400,9 @@ def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
     quotient drops the coordinates from index dim(g / g^(p+1)) on, and
     the quotient's series is the image of g's levels 0..p.
     """
-    ser = sc.series
-    if not (0 <= p < ser.step):
-        raise ValueError(f"level {p} out of range for step {ser.step}")
     quotient = sc._quotients.get(p)
     if quotient is None:
-        keep = ser.starts[p + 1] if p + 1 < ser.step else sc.dim
+        keep = sc.series.level_indices(p).stop
         brackets = {}
         for (i, j), pairs in sc._table.items():
             if i >= keep or j >= keep:
@@ -422,7 +413,7 @@ def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
         quotient = StructureConstants(keep, brackets, names=sc.names[:keep])
         # the series of g / g^(p+1) is the image of g's first p+1 levels,
         # so it is read off rather than recomputed
-        quotient._series = CentralSeries(ser.dims[: p + 1], ser.starts[: p + 1], p + 1)
+        quotient.series = CentralSeries(sc.dims[: p + 1], sc.series.starts[: p + 1], p + 1)
         sc._quotients[p] = quotient
     return quotient
 
@@ -506,6 +497,22 @@ def _json_int(value, field):
     return value
 
 
+def _json_object(value, what, fields):
+    """value, once it is a JSON object holding every one of fields."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    for field in fields:
+        if field not in value:
+            raise ValueError(f"{what} is missing the field {field!r}")
+    return value
+
+
+def _json_list(value, field):
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _json_index(value, field, dim):
     """A basis index in the wire's 1-based numbering, returned 0-based."""
     if not 1 <= _json_int(value, field) <= dim:
@@ -514,19 +521,19 @@ def _json_index(value, field, dim):
 
 
 def algebra_from_json(data: dict) -> StructureConstants:
-    if not isinstance(data, dict):
-        raise ValueError(f"an algebra must be a JSON object, got {type(data).__name__}")
-    dim = _json_int(data["dim"], "dim")
+    dim = _json_int(_json_object(data, "an algebra", ("dim",))["dim"], "dim")
     names = data.get("names")
     if names is not None and not (
         isinstance(names, list) and len(names) == dim and all(isinstance(n, str) for n in names)
     ):
         raise ValueError(f"names must be a list of {dim} strings, got {names!r}")
     brackets = {}
-    for ent in data.get("brackets", []):
+    for a, ent in enumerate(_json_list(data.get("brackets", []), "brackets")):
+        _json_object(ent, f"brackets[{a}]", ("i", "j", "out"))
         i, j = _json_index(ent["i"], "i", dim), _json_index(ent["j"], "j", dim)
         out = {}
-        for o in ent["out"]:
+        for b, o in enumerate(_json_list(ent["out"], f"brackets[{a}].out")):
+            _json_object(o, f"brackets[{a}].out[{b}]", ("k", "num"))
             num, den = _json_int(o["num"], "num"), _json_int(o.get("den", 1), "den")
             if not den:
                 raise ValueError(f"den must be nonzero in bracket ({i + 1}, {j + 1})")
@@ -539,10 +546,8 @@ def algebra_from_json(data: dict) -> StructureConstants:
     claimed = data.get("levels")
     if claimed is not None:
         actual = [[i + 1 for i in ser.level_indices(p)] for p in range(ser.step)]
-        try:
-            claimed = [list(lv) for lv in claimed]
-        except TypeError:
-            raise ValueError(f"malformed level lists: {claimed!r}") from None
+        levels = _json_list(claimed, "levels")
+        claimed = [_json_list(lv, f"levels[{n}]") for n, lv in enumerate(levels)]
         if claimed != actual:
             raise NotAdaptedError(
                 f"declared levels {claimed} do not match computed levels {actual}"

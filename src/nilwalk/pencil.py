@@ -287,8 +287,6 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     not at all when D = 1.
     """
     p = len(weights) - 1
-    if not (0 <= p < sc.step):
-        raise ValueError(f"level {p} out of range for step {sc.step}")
     q_sc = quotient_algebra(sc, p)
     m = len(weights[0])
     cols = [[ring.var(f"a{i + 1}_{j + 1}") for i in range(m)] for j in range(sc.dims[0])]

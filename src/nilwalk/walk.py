@@ -82,7 +82,7 @@ class WalkConfig:
         rows = []
         for j, g in enumerate(self.generators):
             try:
-                rows.append([float(c) for c in g.coords[:n0]])
+                rows.append([x / g.den for x in g.nums[:n0]])  # rounds as float(Fraction)
             except OverflowError:
                 raise ValueError(
                     f"generator {j + 1} has a level-0 coordinate too large for a float"

@@ -146,19 +146,16 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
 
 
 def _in_quotient(sc: StructureConstants, p: int, generators):
-    """The quotient g / g^(p+1) and the generators projected onto it."""
+    """(q_sc, gens, cols, d): g / g^(p+1), the generators projected onto it,
+    their common denominator d, and cols[j][i] = coordinate j of d * gens[i]."""
     gens = [g if isinstance(g, LieVector) else LieVector(g) for g in generators]
     if any(g.dim != sc.dim for g in gens):
         raise ValueError(f"generators must have dimension {sc.dim}")
     q_sc = quotient_algebra(sc, p)
-    return q_sc, [LieVector(g.coords[: q_sc.dim]) for g in gens]
-
-
-def _integer_columns(gens):
-    """(cols, d): d is the generators' common denominator and cols[j][i]
-    is coordinate j of d times generator i, an int."""
+    gens = [LieVector._of(g.nums[: q_sc.dim], g.den) for g in gens]
     d = math.lcm(*(g.den for g in gens))
-    return list(zip(*([x * (d // g.den) for x in g.nums] for g in gens))), d
+    cols = list(zip(*([x * (d // g.den) for x in g.nums] for g in gens)))
+    return q_sc, gens, cols, d
 
 
 def verify_word_bracket_identity(
@@ -173,13 +170,13 @@ def verify_word_bracket_identity(
     lists the coordinates of the discrepancy on levels 0..p; the identity
     holds iff they are all exactly zero.
     """
-    q_sc, gens = _in_quotient(sc, min(pair.level, sc.step - 1), generators)
+    q_sc, gens, cols, d = _in_quotient(sc, min(pair.level, sc.step - 1), generators)
     if len(gens) < pair.m:
         raise ValueError("not enough generators for the pair's alphabet")
     logL, logR = word_pair_logs(q_sc, pair, gens)
     word_log = bch_product(q_sc, logL, -logR)
 
-    cols, d = _integer_columns(gens[: pair.m])
+    # a k row has pair.m entries, so zip drops any further generators' entries
     acc = nested_bracket(q_sc, pair.k_sequence, cols)
     bracket_log = LieVector._of(acc, q_sc.integer_table[0] ** pair.level * d ** (pair.level + 1))
 
@@ -265,6 +262,24 @@ def _scan_chunk(d: int, q_max: int, tau: float, k: int, a: int, b: int):
     return points, weight, zero
 
 
+def _check_scan(d: int, tau, q_max: int) -> float:
+    """tau as a float, once the scan of a d-vector is checked as far as it
+    can be without the vector: q_max >= 1, a finite tau, and a box of at
+    most MAX_SCAN_POINTS points."""
+    if q_max < 1:
+        raise ValueError("q_max must be positive")
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"Diophantine scan needs finite input: tau={tau}")
+    points = (2 * q_max + 1) ** d
+    if points > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"Diophantine scan too large: d={d}, q_max={q_max} covers {points} "
+            f"points, over the budget of {MAX_SCAN_POINTS}; lower q_max"
+        )
+    return tau
+
+
 def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     """Scan min |n.v - m| * |n|^tau over 0 < |n| <= q_max.
 
@@ -284,17 +299,9 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     d = len(floats)
     if d == 0:
         raise ValueError("empty vector")
-    if q_max < 1:
-        raise ValueError("q_max must be positive")
-    tau = float(tau)
-    if not (math.isfinite(tau) and all(map(math.isfinite, floats))):
-        raise ValueError(f"Diophantine scan needs finite input: tau={tau}, vector={floats}")
-    points = (2 * q_max + 1) ** d
-    if points > MAX_SCAN_POINTS:
-        raise ValueError(
-            f"Diophantine scan too large: d={d}, q_max={q_max} covers {points} "
-            f"points, over the budget of {MAX_SCAN_POINTS}; lower q_max"
-        )
+    tau = _check_scan(d, tau, q_max)
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"Diophantine scan needs finite input: vector={floats}")
     v = np.asarray(floats)
     eps = sys.float_info.epsilon
     try:
@@ -391,20 +398,19 @@ def nice_pair_search(
         raise ValueError(f"level must be in 1..{sc.step - 1}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    q_sc, gens = _in_quotient(sc, p, generators)
+    q_sc, gens, cols, d = _in_quotient(sc, p, generators)
     m = len(gens)
     if m < 1:
         raise ValueError("need at least one generator")
     n_p = sc.dims[p]
-    if tau is None:
-        tau = float(n_p)
     if q_max is None:
         q_max = default_q_max(n_p)
+    # checked before the loop, which scans nothing when every candidate is zero
+    tau = _check_scan(n_p, n_p if tau is None else tau, q_max)
 
     # refuse a quotient deeper than the BCH series, so that every returned
     # pair stays checkable by verify_word_bracket_identity
     bch_word_coefficients(q_sc.step)
-    cols, d = _integer_columns(gens)
     den = q_sc.integer_table[0] ** p * d ** (p + 1)
     level = q_sc.series.level_indices(p)
 

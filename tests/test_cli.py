@@ -214,6 +214,16 @@ def test_words_exit_codes(capsys):
     assert code == 2 and "needs 3 coordinates: '1,0'" in err
     code, _, err = run(capsys, "words", "heisenberg", "-p", "1", "--tau", "nan")
     assert code == 2 and "finite input" in err
+    # a search whose candidates are all zero scans nothing, and still
+    # refuses a bad q_max or tau before its first candidate
+    for alg, p, opt, value, message in (
+        ("example_5_6", "3", "--qmax", "0", "q_max must be positive"),
+        ("heisenberg", "1", "--qmax", "0", "q_max must be positive"),
+        ("example_5_6", "3", "--tau", "nan", "finite input: tau=nan"),
+        ("heisenberg", "1", "--qmax", "100000000", "Diophantine scan too large"),
+    ):
+        code, out, err = run(capsys, "words", alg, "-p", p, "--budget", "5", opt, value)
+        assert code == 2 and out == "" and message in err
     # a d = 2 level without --qmax scans the default q_max = 100 box
     code, out, _ = run(capsys, "words", "triangular:3", "-p", "1")
     assert code == 0 and json.loads(out)["q_max"] == 100
@@ -459,6 +469,35 @@ def test_malformed_exact_input_is_usage_error(capsys, tmp_path, doc, argv):
         argv = argv + [str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"dim": 2, "brackets": 5}, "brackets must be a list"),
+        ({"dim": 2, "brackets": [1]}, "brackets[0] must be a JSON object"),
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": 5}]}, "brackets[0].out must be a list"),
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": [7]}]},
+         "brackets[0].out[0] must be a JSON object"),
+        ({"brackets": []}, "missing the field 'dim'"),
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2}]}, "missing the field 'out'"),
+    ],
+    ids=["brackets-int", "entry-int", "out-int", "out-entry-int", "no-dim", "no-out"],
+)
+def test_malformed_algebra_json_names_the_field(tmp_path, doc, field):
+    # run as a program, so that a traceback on stderr would show
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(nilwalk.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilwalk.cli", "check", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and field in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- output bytes -----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nilwalk import bch, catalog, lie_core, linalg
 from nilwalk.bch import bch_product
+from nilwalk.coords import SecondKindSystem
 from nilwalk.lie_core import (
     LieVector,
     NotAdaptedError,
@@ -22,6 +23,7 @@ from nilwalk.lie_core import (
     quotient_algebra,
     rescale_levels,
 )
+from nilwalk.pencil import build_pencil
 
 F = Fraction
 
@@ -210,6 +212,24 @@ def test_project_slices_levels():
         project(sc, x, 3)
 
 
+LEVEL_READERS = {
+    "level_indices": lambda sc, p: sc.series.level_indices(p),
+    "project": lambda sc, p: project(sc, LieVector.zero(sc.dim), p),
+    "quotient_algebra": quotient_algebra,
+    "build_pencil": lambda sc, p: build_pencil(sc, 2, p),
+    "reduction_map": lambda sc, p: SecondKindSystem(sc).reduction_map(p),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LEVEL_READERS))
+def test_every_level_reader_checks_the_level(reader):
+    # filiform(5) has step 4; -1 once read as range(4, 0), 4 raised IndexError
+    sc = catalog.filiform(5)
+    for p in (-1, sc.step):
+        with pytest.raises(ValueError, match=rf"^level {p} out of range for step 4$"):
+            LEVEL_READERS[reader](sc, p)
+
+
 # -- derived constructions -------------------------------------------------------
 
 
@@ -275,6 +295,27 @@ def test_json_rejects_malformed_names_and_indices():
         (entry["out"][0] if field == "k" else entry)[field] = value
         with pytest.raises(ValueError, match=rf"^{field} must lie in 1\.\.3, got {value}$"):
             algebra_from_json(bad)
+    for bad, message in (
+        ({"dim": 2, "brackets": 5}, "brackets must be a list, got int"),
+        ({"dim": 2, "brackets": [1]}, r"brackets\[0\] must be a JSON object, got int"),
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": 5}]},
+         r"brackets\[0\]\.out must be a list, got int"),
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2, "out": [7]}]},
+         r"brackets\[0\]\.out\[0\] must be a JSON object, got int"),
+        ([doc], "an algebra must be a JSON object, got list"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            algebra_from_json(bad)
+    for field, where in (("dim", "an algebra"), ("i", r"brackets\[0\]"),
+                         ("j", r"brackets\[0\]"), ("out", r"brackets\[0\]"),
+                         ("k", r"brackets\[0\]\.out\[0\]"),
+                         ("num", r"brackets\[0\]\.out\[0\]")):
+        bad = json.loads(json.dumps(doc))
+        entry = bad["brackets"][0]
+        owner = bad if field == "dim" else entry["out"][0] if field in ("k", "num") else entry
+        del owner[field]
+        with pytest.raises(ValueError, match=rf"^{where} is missing the field '{field}'$"):
+            algebra_from_json(bad)
 
 
 def test_json_verify_rejects_wrong_levels():
@@ -284,4 +325,8 @@ def test_json_verify_rejects_wrong_levels():
         algebra_from_json(doc)
     doc["levels"] = [3]
     with pytest.raises(ValueError):
+        algebra_from_json(doc)
+    # a string is not a list of levels, though list() would take it apart
+    doc["levels"] = "ab"
+    with pytest.raises(ValueError, match=r"^levels must be a list, got str$"):
         algebra_from_json(doc)

@@ -125,6 +125,18 @@ def test_bracket_identity_across_algebras():
                 assert chk.ok, (sc.names[:2], p, seeds, chk.residual)
 
 
+def test_bracket_identity_with_an_unused_generator():
+    """A generator past the pair's alphabet enters the common denominator
+    d of the integer columns but no bracket, and the identity still holds."""
+    sc = catalog.filiform(5)
+    gens = rational_generators(sc, 2, seed=3)
+    big = LieVector([F(1, 10**30 + 7)] + [F(0)] * (sc.dim - 1))
+    pair = build_lr(2, [(0,), (1, 0), (1,), (0, 1)], 2)
+    chk = verify_word_bracket_identity(sc, pair, gens + [big])
+    assert chk.ok
+    assert chk.bracket_log == verify_word_bracket_identity(sc, pair, gens).bracket_log
+
+
 def _reference_bracket_log(sc, pair, gens):
     """[ ... [k_0 V, k_1 V], ..., k_p V ] in g / g^(p+1), one exact
     bracket of k-combinations of the projected generators at a time."""
