@@ -94,7 +94,7 @@ def emit(args, doc, sc=None):
     """Attach the provenance and write the document as sorted JSON to
     args.json, or to stdout."""
     doc["provenance"] = provenance(args, sc)
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_plain)
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_plain, allow_nan=False)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
@@ -163,6 +163,18 @@ def parse_character(tok: str, dim: int):
         raise ValueError(f"frequency has {len(lam)} entries but dim is {dim}")
     lam += [0] * (dim - len(lam))
     return walk.Character(lam)
+
+
+def finite_float(tok: str) -> float:
+    """A threshold option's value: a float other than nan or +-inf, at
+    which the check it sets would pass or fail whatever the run measured."""
+    try:
+        x = float(tok)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {tok!r}")
+    return x
 
 
 def _add_config_opts(sp):
@@ -454,7 +466,7 @@ def build_parser():
     sp = sub.add_parser("gap", help="transfer eigenvalues over a frequency box")
     _add_config_opts(sp)
     sp.add_argument("--radius", type=int, default=20)
-    sp.add_argument("--min-gap", type=float, default=None)
+    sp.add_argument("--min-gap", type=finite_float, default=None)
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_gap)
 
@@ -467,7 +479,7 @@ def build_parser():
     sp.add_argument("--csv", help="write CSV here instead of stdout")
     sp.add_argument(
         "--check",
-        type=float,
+        type=finite_float,
         default=None,
         help="fail if any point deviates from c^N by more stderr multiples",
     )
@@ -479,7 +491,7 @@ def build_parser():
     sp.add_argument("-N", type=int, default=2048, help="walk length per trial")
     sp.add_argument("--trials", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-ks", type=float, default=None)
+    sp.add_argument("--max-ks", type=finite_float, default=None)
     sp.add_argument("--json")
     sp.set_defaults(func=cmd_clt)
 

@@ -147,14 +147,17 @@ def word_pair_logs(sc: StructureConstants, pair: WordPair, generators):
 
 def _in_quotient(sc: StructureConstants, p: int, generators):
     """(q_sc, gens, cols, d): g / g^(p+1), the generators projected onto it,
-    their common denominator d, and cols[j][i] = coordinate j of d * gens[i]."""
+    their common denominator d, and cols[j][i] = coordinate j of d * gens[i]
+    for the level-0 coordinates j only.  A nested bracket of p+1 vectors
+    lies in g^(p), and its level-p block reads only their level-0
+    components, so in g / g^(p+1) the columns give it exactly."""
     gens = [g if isinstance(g, LieVector) else LieVector(g) for g in generators]
     if any(g.dim != sc.dim for g in gens):
         raise ValueError(f"generators must have dimension {sc.dim}")
     q_sc = quotient_algebra(sc, p)
     gens = [LieVector._of(g.nums[: q_sc.dim], g.den) for g in gens]
     d = math.lcm(*(g.den for g in gens))
-    cols = list(zip(*([x * (d // g.den) for x in g.nums] for g in gens)))
+    cols = list(zip(*([x * (d // g.den) for x in g.nums[: sc.dims[0]]] for g in gens)))
     return q_sc, gens, cols, d
 
 
@@ -165,10 +168,10 @@ def verify_word_bracket_identity(
 
     generators is a sequence of LieVector logs (exact rationals).  Both
     sides are evaluated in g / g^(p+1).  The bracket is one
-    nested_bracket on the generators' integer numerators over their
-    common denominator d, which gives D^p d^(p+1) times it.  The residual
-    lists the coordinates of the discrepancy on levels 0..p; the identity
-    holds iff they are all exactly zero.
+    nested_bracket on the generators' level-0 integer numerators over
+    their common denominator d, which gives D^p d^(p+1) times it.  The
+    residual lists the coordinates of the discrepancy on levels 0..p; the
+    identity holds iff they are all exactly zero.
     """
     q_sc, gens, cols, d = _in_quotient(sc, min(pair.level, sc.step - 1), generators)
     if len(gens) < pair.m:
@@ -381,8 +384,8 @@ def nice_pair_search(
     For every candidate the exact level-p block of log(W1 W2^(-1)) is
     taken from the bracket identity: it is the level-p block of
     [ ... [k_0 V, k_1 V], ..., k_p V ], one nested_bracket in
-    g / g^(p+1) on the generators' integer numerators, with the k's
-    counted from the seed words and no word built or evaluated.
+    g / g^(p+1) on the generators' level-0 integer numerators, with the
+    k's counted from the seed words and no word built or evaluated.
     verify_word_bracket_identity is the exact check of that identity,
     and a quotient deeper than its BCH series is refused here too.
     Zero blocks are skipped (for a two-degenerate level every candidate
@@ -414,17 +417,15 @@ def nice_pair_search(
     den = q_sc.integer_table[0] ** p * d ** (p + 1)
     level = q_sc.series.level_indices(p)
 
-    bases = [Word((i,)) for i in range(m)] + [Word((i, j)) for i in range(m) for j in range(m)]
-    fillers = [Word(())] + bases
-    counts = {w: w.counts(m) for w in fillers}
-    tried = 0
-    zeros = 0
-    best = None  # (gamma_hat, seeds, report, vec)
-    for seeds in itertools.product(bases, bases, *([fillers] * p)):
-        if tried >= budget:
-            break
-        tried += 1
-        acc = nested_bracket(q_sc, _k_sequence([counts[w] for w in seeds]), cols)
+    # (seed word, letter counts) items: the loop reads only the counts
+    short = [(i,) for i in range(m)] + [(i, j) for i in range(m) for j in range(m)]
+    bases = [(w, w.counts(m)) for w in map(Word, short)]
+    fillers = [(Word(()), (0,) * m)] + bases
+    candidates = itertools.product(bases, bases, *([fillers] * p))
+    tried = zeros = 0
+    best = None  # (gamma_hat, items, report, vec)
+    for tried, items in enumerate(itertools.islice(candidates, budget), 1):
+        acc = nested_bracket(q_sc, _k_sequence([c for _, c in items]), cols)
         block = [acc[i] for i in level]
         if not any(block):
             zeros += 1
@@ -437,21 +438,13 @@ def nice_pair_search(
             ) from None
         rep = diophantine_estimate(vec, tau, q_max)
         if best is None or rep.gamma_hat > best[0]:
-            best = (rep.gamma_hat, seeds, rep, vec)
-    if best is None:
-        return NicePairSearch(
-            found=False,
-            pair=None,
-            report=None,
-            level_vector=None,
-            tried=tried,
-            zero_count=zeros,
-        )
+            best = (rep.gamma_hat, items, rep, vec)
+    _, items, report, vec = best or (None,) * 4
     return NicePairSearch(
-        found=True,
-        pair=build_lr(p, best[1], m),
-        report=best[2],
-        level_vector=best[3],
+        found=items is not None,
+        pair=None if items is None else build_lr(p, [w for w, _ in items], m),
+        report=report,
+        level_vector=vec,
         tried=tried,
         zero_count=zeros,
     )

@@ -368,6 +368,31 @@ def test_oversized_inputs_are_usage_errors(capsys, argv, name):
     assert code == 2 and out == "" and err.startswith(f"error: {name} ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gap", "--preset", "golden-heisenberg", "--radius", "2"], "--min-gap"),
+        (["clt", "--preset", "circle-quarters", "--character", "1", "-N", "8",
+          "--trials", "100"], "--max-ks"),
+        (["correlate", "--preset", "circle-golden", "--character", "1",
+          "--times", "2", "--samples", "10"], "--check"),
+    ],
+    ids=["gap", "clt", "correlate"],
+)
+def test_non_finite_thresholds_are_usage_errors(capsys, monkeypatch, argv, option, value):
+    # every comparison with nan is false, so such a check could never fail
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(nilwalk.cli, "resolve_config", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{option}={value}"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {option}: must be a finite number, got '{value}'" in out.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -564,6 +589,11 @@ def _affine_json():
     return {"dim": 2, "brackets": [{"i": 1, "j": 2, "out": [{"k": 2, "num": 1, "den": 1}]}]}
 
 
+def _reject_constant(name):
+    # strict JSON has no NaN, Infinity or -Infinity
+    raise ValueError(f"{name} in a JSON document")
+
+
 @pytest.mark.parametrize(
     "argv",
     [argv for argv, _, _ in STDOUT_SHA256 if argv[0] != "correlate"] + [["check"]],
@@ -575,7 +605,7 @@ def test_every_json_document_carries_provenance(capsys, tmp_path, argv):
         path.write_text(json.dumps(_affine_json()))
         argv = argv + [str(path)]
     _, out, _ = run(capsys, *argv)
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["provenance"]["command"] == argv[0]
     if argv[0] == "check" and not doc["ok"]:
         assert doc["error"] == "series stabilized at dimension 1"

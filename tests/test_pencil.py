@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -287,6 +288,55 @@ def test_certify_m4_restores_greatness():
     cert = certify_greatness(catalog.example_5_6(), 4)
     assert cert.is_great
     assert cert.verify(sc=catalog.example_5_6())
+
+
+def test_level_certificate_equals_its_quotients():
+    """The certificate of g at level p is the top-level certificate of
+    g / g^(p+1): the quotient's levels below p draw from the random
+    stream exactly as g's do.  A change to how the stream is shared
+    between levels would have to move this."""
+    checked = 0
+    for label, sc in catalog.default_corpus():
+        for m in (2, 3):
+            cert = certify_greatness(sc, m)
+            for p in range(1, sc.step):
+                top = certify_greatness(quotient_algebra(sc, p), m).level(p)
+                assert top == cert.level(p), (label, m, p)
+                checked += 1
+    assert checked == 56
+
+
+PRODUCT_FACTORS = [
+    ("heisenberg", catalog.heisenberg()),
+    ("example_3_2", catalog.example_3_2()),
+    ("triangular(2)", catalog.triangular(2)),
+    ("triangular(3)", catalog.triangular(3)),
+    ("filiform(5)", catalog.filiform(5)),
+    ("quasi_abelian(3,2)", catalog.quasi_abelian((3, 2))),
+]
+
+
+def test_product_is_degenerate_where_a_factor_is():
+    """g x h is m-degenerate at level p iff a factor with a level p is:
+    the product's level-p pencil joins the factors' pencils, in disjoint
+    variables, and the factors' sets of good k are nonempty and
+    Zariski-open, so they meet."""
+    # example_5_6 is 2-degenerate at level 3 and filiform(5) is not
+    mixed_pair = (("example_5_6", catalog.example_5_6()), PRODUCT_FACTORS[4])
+    pairs = [*itertools.combinations(PRODUCT_FACTORS, 2), mixed_pair]
+    checked = mixed = 0
+    for (na, a), (nb, b) in pairs:
+        sc = direct_product(a, b)
+        for m in (1, 2):
+            certs = [certify_greatness(f, m) for f in (sc, a, b)]
+            assert all(c.verdict != "undetermined" for c in certs), (na, nb, m)
+            for p in range(1, sc.step):
+                factors = [c.level(p).status for c, f in zip(certs[1:], (a, b)) if p < f.step]
+                degenerate = certs[0].level(p).status == "degenerate"
+                assert degenerate == ("degenerate" in factors), (na, nb, m, p)
+                checked += 1
+                mixed += degenerate and "witness" in factors
+    assert checked == 68 + 6 and mixed == 1
 
 
 def _uniform_kernel_case():

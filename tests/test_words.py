@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk import catalog, words
+from nilwalk import bch, catalog, words
 from nilwalk.bch import bch_product, word_eval
-from nilwalk.lie_core import LieVector, project, quotient_algebra, rescale_levels
+from nilwalk.lie_core import (
+    LieVector,
+    nested_bracket,
+    project,
+    quotient_algebra,
+    rescale_levels,
+)
 from nilwalk.words import (
     NicePairSearch,
     build_lr,
@@ -550,3 +556,39 @@ def test_search_takes_one_nested_bracket_per_candidate(monkeypatch):
     res = nice_pair_search(sc, gens, 2, q_max=3, budget=budget)
     assert res.found and res.tried == budget
     assert calls == {"bch_product": 0, "word_eval": 0, "nested_bracket": budget}
+
+
+def test_search_hashes_no_word(monkeypatch):
+    """The candidate loop reads letter counts, never a Word key: with
+    Word.__hash__ raising, a found and a failed search return as before."""
+    cases = [
+        (catalog.example_3_2(), rational_generators(catalog.example_3_2(), 2, seed=5), 2, 56),
+        (catalog.example_5_6(), [LieVector.basis(15, 0), LieVector.basis(15, 1)], 3, 40),
+    ]
+    expected = [nice_pair_search(sc, gens, p, q_max=3, budget=b) for sc, gens, p, b in cases]
+    assert [res.found for res in expected] == [True, False]
+
+    def unhashable(self):
+        raise AssertionError("a Word was hashed")
+
+    monkeypatch.setattr(bch.Word, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(bch.Word((0,)))
+    for (sc, gens, p, b), res in zip(cases, expected):
+        assert nice_pair_search(sc, gens, p, q_max=3, budget=b) == res
+
+
+def test_in_quotient_columns_are_level_zero():
+    """_in_quotient's columns hold the generators' level-0 coordinates only,
+    and in g / g^(p+1) they give the same nested bracket as the columns of
+    every quotient coordinate."""
+    rng = random.Random(32)
+    for _, sc in catalog.default_corpus():
+        gens = rational_generators(sc, 3, seed=rng.randint(0, 999))
+        for p in range(sc.step):
+            q_sc, q_gens, cols, d = words._in_quotient(sc, p, gens)
+            assert len(cols) == sc.dims[0] and all(len(col) == 3 for col in cols)
+            full = list(zip(*([x * (d // g.den) for x in g.nums] for g in q_gens)))
+            assert full[: sc.dims[0]] == cols and len(full) == q_sc.dim
+            ks = [tuple(rng.randint(-2, 3) for _ in range(3)) for _ in range(p + 1)]
+            assert nested_bracket(q_sc, ks, cols) == nested_bracket(q_sc, ks, full)
