@@ -212,57 +212,38 @@ class DiophantineReport:
     float_error_bound: float
 
 
-# A scan runs over chunks of at most SCAN_CHUNK_ENTRIES entries (points
-# times d), which bounds what a scan holds: a chunk's points and weights
-# take at most 4 MB, and the cache keeps 8 chunks.  Scans of d = 2..4
-# boxes peaked at 66 MB RSS with this size, 151 MB at 2^20 and 397 MB at
-# 2^22, none of them faster per point (2-core x86-64 VM, numpy 2.4).
+# A scan runs over chunks of at most SCAN_CHUNK_ENTRIES points, which
+# bounds what a scan holds.  Scans of the largest d = 2..4 boxes peaked
+# at 40 MB RSS with this size (29 MB of it numpy's import), 66 MB at
+# 2^20 and 131 MB at 2^22, none of them faster per point (2-core x86-64
+# VM, numpy 2.4).
 SCAN_CHUNK_ENTRIES = 1 << 18
-# Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.8 s of
-# CPU at d = 1, 1.2 s at d = 2 and 1.7 s at d = 3 (18-27 ns per point,
-# same VM).
+# Largest scan, in points (2 q_max + 1)^d.  A box this size took 1.4 s of
+# CPU at d = 1 and 0.3 s at d = 2 and at d = 3 (4-21 ns per point, same
+# VM).
 MAX_SCAN_POINTS = 1 << 26
 
 
-def _prefix_runs(d: int, q_max: int):
-    """The chunks of the box |n| <= q_max, in order: the shortest prefix
-    length k >= 1 whose trailing grid fits in SCAN_CHUNK_ENTRIES, and
-    runs (a, b) of consecutive prefix indices, as many per run as fit."""
-    side = 2 * q_max + 1
-    k = next(k for k in range(1, d + 1) if d * side ** (d - k) <= SCAN_CHUNK_ENTRIES)
-    width = SCAN_CHUNK_ENTRIES // (d * side ** (d - k))
-    return k, [(a, min(a + width, side**k)) for a in range(0, side**k, width)]
-
-
 @functools.lru_cache(maxsize=8)
-def _scan_chunk(d: int, q_max: int, tau: float, k: int, a: int, b: int):
-    """The points n of the box |n| <= q_max whose first k coordinates are
-    the prefixes a..b-1 (in lexicographic order), as d float rows, row i
-    holding coordinate i of every point in lexicographic order; |n|^tau
-    for each point (max norm); and the index of n = 0 among them, empty
-    when the chunk misses it.  All read-only, since cached chunks are
-    shared between scans: every candidate of a search scans the same
-    box, and a box of at most 8 chunks is built once per (d, q_max,
-    tau)."""
+def _scan_plan(d: int, q_max: int, tau: float):
+    """(k, width, axis, tail_norm, tail_weight) for the box |n| <= q_max.
+
+    A scan walks n's first k coordinates, the fewest (none for a box of
+    one chunk) that leave a tail grid of at most SCAN_CHUNK_ENTRIES
+    points, in runs of width consecutive values.  axis is -q_max..q_max
+    as floats (empty without a tail); tail_norm and tail_weight are the
+    tail grid's max norms and |n|^tau.  All read-only and free of vector
+    data, so one plan serves every vector scanned in its box.
+    """
     side = 2 * q_max + 1
-    head = np.stack(np.unravel_index(np.arange(a, b), (side,) * k), axis=1) - q_max
-    tail = np.indices((side,) * (d - k)).reshape(d - k, side ** (d - k)).T - q_max
-    # built in integers and then converted: freeing the integer array
-    # lifts glibc's dynamic mmap threshold to the chunk's size, so later
-    # scans take their temporaries from the heap (built in floats, a
-    # d = 2, q_max = 100 scan took 120 page faults and twice the time)
-    points = np.empty((d, b - a, len(tail)), dtype=int)
-    points[:k] = head.T[:, :, None]
-    points[k:] = tail.T[:, None]
-    points = points.reshape(d, -1).astype(float)
-    norms = np.maximum.outer(np.abs(head).max(axis=1), np.abs(tail).max(axis=1, initial=0))
-    norms = norms.ravel().astype(float)
-    zero = np.flatnonzero(norms == 0)
-    norms[zero] = 1.0  # never read; keeps 0 ** tau out for tau < 0
-    weight = norms**tau
-    for arr in (points, weight, zero):
+    k = next(k for k in range(d + 1) if side ** (d - k) <= SCAN_CHUNK_ENTRIES)
+    axis = np.arange(-q_max, q_max + 1.0) if k < d else np.empty(0)
+    # 0-d arrays for an empty tail
+    tail_norm = np.asarray(np.abs(np.indices((side,) * (d - k)) - q_max).max(axis=0, initial=0))
+    tail_weight = np.asarray(np.maximum(tail_norm, 1.0) ** tau)  # 0 ** tau is never read
+    for arr in (axis, tail_norm, tail_weight):
         arr.flags.writeable = False
-    return points, weight, zero
+    return k, SCAN_CHUNK_ENTRIES // tail_norm.size, axis, tail_norm, tail_weight
 
 
 def _check_scan(d: int, tau, q_max: int) -> float:
@@ -286,17 +267,17 @@ def _check_scan(d: int, tau, q_max: int) -> float:
 def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     """Scan min |n.v - m| * |n|^tau over 0 < |n| <= q_max.
 
-    The box is scanned in chunks of consecutive lattice prefixes, each
-    of at most SCAN_CHUNK_ENTRIES entries: its points, in lexicographic
-    order, and their weights |n|^tau come from a cache of the last 8
-    chunks built.  n.v is n_0 v_0 + n_1 v_1 + ... summed left to right
-    in elementwise products, not a BLAS product, whose rounding moves
-    with the kernel (with or without FMA).  The weight |n|^tau is numpy's
-    power, whose last bit can move with its SIMD dispatch for a tau that
-    is not an integer or a power past 2^53; the default tau = d is exact
-    in every admitted box.  The first minimum is kept across chunks.
-    Non-finite input, an error bound that overflows and a box of more
-    than MAX_SCAN_POINTS points raise ValueError before any allocation.
+    The box is scanned in lexicographic order, in chunks of at most
+    SCAN_CHUNK_ENTRIES points, along the plan that _scan_plan caches for
+    the last 8 boxes.  n.v is n_0 v_0 + n_1 v_1 + ... summed left to
+    right from the per-axis products n_i v_i, not by a BLAS product,
+    whose rounding moves with the kernel (with or without FMA).  The
+    weight |n|^tau is numpy's power, whose last bit can move with its
+    SIMD dispatch for a tau that is not an integer or a power past 2^53;
+    the default tau = d is exact in every admitted box.  The first
+    minimum is kept across chunks.  Non-finite input, an error bound that
+    overflows and a box of more than MAX_SCAN_POINTS points raise
+    ValueError before any allocation.
     """
     floats = [float(x) for x in vector]
     d = len(floats)
@@ -315,23 +296,33 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     if not math.isfinite(err):
         raise ValueError(f"Diophantine scan overflows floats: q_max={q_max}, tau={tau}")
 
-    best = math.inf
-    best_n = None
-    k, runs = _prefix_runs(d, q_max)
-    for a, b in runs:
-        grid, weight, zero = _scan_chunk(d, q_max, tau, k, a, b)
-        vals = grid[0] * v[0]  # n.v, summed left to right
-        tmp = np.empty_like(vals)
-        for row, x in zip(grid[1:], v[1:]):
-            vals += np.multiply(row, x, out=tmp)
-        np.subtract(vals, np.rint(vals, out=tmp), out=vals)
+    side = 2 * q_max + 1
+    k, width, axis, tail_norm, tail_weight = _scan_plan(d, q_max, tau)
+    tails = [axis * x for x in v[k:]]  # n_i v_i along each tail coordinate's axis
+    zero = (side**d - 1) // 2  # the lexicographic index of n = 0
+    best, best_n = math.inf, None
+    for a in range(0, side**k, width):
+        # n.v summed left to right: the run's head products, then the tail's
+        terms, weight = tails, tail_weight
+        if k:
+            run = np.arange(a, min(a + width, side**k))
+            # n's first k coordinates: k rows (integer division is slow, so not for k = 1)
+            head = np.array(np.unravel_index(run, (side,) * k) if k > 1 else [run]) - q_max
+            terms = [functools.reduce(np.add, [h * x for h, x in zip(head, v)])] + tails
+            # |n|^tau: the tail's, but the head's where the tail's norm is at most the head's
+            norm = functools.reduce(np.maximum, np.abs(head)).reshape(run.shape + (1,) * (d - k))
+            weight = np.where(tail_norm > norm, tail_weight, np.maximum(norm, 1.0) ** tau)
+        vals = functools.reduce(np.add.outer, terms)
+        vals -= np.rint(vals)
         np.abs(vals, out=vals)
         vals *= weight
-        vals[zero] = math.inf
+        start = a * tail_norm.size
+        if 0 <= zero - start < vals.size:
+            vals.flat[zero - start] = math.inf
         i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_n = tuple(int(x) for x in grid[:, i])
+        if vals.flat[i] < best:
+            best = float(vals.flat[i])
+            best_n = tuple(int(x) - q_max for x in np.unravel_index(start + i, (side,) * d))
     return DiophantineReport(
         vector=tuple(floats),
         tau=tau,
@@ -393,12 +384,12 @@ def nice_pair_search(
     scanned and the largest gamma_hat wins.  Ties keep the earliest
     candidate, so results are reproducible.
 
-    A candidate costs p brackets and one scan of the box, whose chunks
+    A candidate costs p brackets and one scan of the box, whose plan
     diophantine_estimate caches.  Without q_max, the scan uses
     default_q_max(d), a box of at most 201^3 points up to d = 14.
     """
     if not (1 <= p < sc.step):
-        raise ValueError(f"level must be in 1..{sc.step - 1}")
+        raise ValueError(f"level {p} out of range 1..step-1 for step {sc.step}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     q_sc, gens, cols, d = _in_quotient(sc, p, generators)

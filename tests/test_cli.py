@@ -227,6 +227,11 @@ def test_words_exit_codes(capsys):
     # a d = 2 level without --qmax scans the default q_max = 100 box
     code, out, _ = run(capsys, "words", "triangular:3", "-p", "1")
     assert code == 0 and json.loads(out)["q_max"] == 100
+    # a pair search needs a level 1..step-1, and the message names both
+    for alg, p, step in (("abelian:3", "1", 1), ("heisenberg", "0", 2), ("heisenberg", "2", 2)):
+        code, out, err = run(capsys, "words", alg, "-p", p)
+        assert code == 2 and out == ""
+        assert err == f"error: level {p} out of range 1..step-1 for step {step}\n"
     # filiform(8) has step 7, one more than the BCH series is built for
     code, out, err = run(capsys, "words", "filiform:8", "-p", "6")
     assert code == 2 and out == ""
@@ -570,6 +575,10 @@ STDOUT_SHA256 = [
       "--generator", "sigma,sqrt2,0", "--character", "3,3", "--times", "4,16",
       "--samples", "1000", "--seed", "1"], 0,
      "1ddf41cd53893b63976a98649ffc59189e558902251cebf0494d6a4f7d12f79e"),
+    # a d = 3 level scanned over the default q_max = 100 box, 201^3 points
+    (["words", "triangular:4", "-p", "1", "--generator", "phi,sigma,sqrt2,sqrt3,0,0,0,0,0,0",
+      "--generator", "sigma,sqrt2,phi,1/3,0,0,0,0,0,0", "--budget", "12"], 0,
+     "ec341fb3292160463ad8759a3001fbb7e90abf7c4c04beabda90707656c82f95"),
 ]
 
 

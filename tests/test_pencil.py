@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from nilwalk import catalog, pencil
 from nilwalk.lie_core import (
     LieVector,
+    StructureConstants,
     algebra_to_json,
+    check_jacobi,
     direct_product,
     nested_bracket,
     quotient_algebra,
     rescale_levels,
 )
-from nilwalk.linalg import left_kernel_vector
+from nilwalk.linalg import left_kernel_vector, rref
 from nilwalk.pencil import (
     POINT_BOUND,
     GreatnessCertificate,
@@ -304,6 +306,51 @@ def test_level_certificate_equals_its_quotients():
                 assert top == cert.level(p), (label, m, p)
                 checked += 1
     assert checked == 56
+
+
+def _change_basis(sc, rng):
+    """sc in another adapted basis: each new level-p basis vector is an
+    integer combination, entries in -2..2, of the old vectors of level
+    >= p, and the level-p block of the change is invertible."""
+    n, series = sc.dim, sc.series
+    cols = []  # the old coordinates of each new basis vector
+    for p in range(series.step):
+        block = series.level_indices(p)
+        while True:
+            new = [[F(rng.randint(-2, 2) if i >= block.start else 0) for i in range(n)]
+                   for _ in block]
+            if len(rref([[c[i] for i in block] for c in new])[1]) == len(block):
+                break
+        cols += new
+    # rows of [A | I] with A's columns the new vectors reduce to [I | A^-1]
+    inverse = [row[n:] for row in rref([[c[i] for c in cols] + [F(i == j) for j in range(n)]
+                                        for i in range(n)])[0]]
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        out = sc.bracket(LieVector(cols[a]), LieVector(cols[b])).coords
+        brackets[(a, b)] = {k: sum(r * x for r, x in zip(row, out)) for k, row in enumerate(inverse)}
+    return StructureConstants(n, brackets)
+
+
+def test_basis_change_keeps_every_verdict():
+    """The same algebra in another adapted basis has the same verdict and
+    proof kind at every level; witnesses and tries may differ."""
+    rng = random.Random(14)
+    algebras = catalog.default_corpus() + [
+        (f"random_step3(3,3,2,{s})", catalog.random_step3(3, 3, 2, seed=s)) for s in range(3)
+    ]
+    checked = 0
+    for label, sc in algebras:
+        moved = _change_basis(sc, rng)
+        assert check_jacobi(moved).ok and moved.dims == sc.dims, label
+        for m in (1, 2, 3):
+            cert, moved_cert = certify_greatness(sc, m), certify_greatness(moved, m)
+            assert moved_cert.verify(moved), (label, m)
+            for p in range(1, sc.step):
+                a, b = cert.level(p), moved_cert.level(p)
+                assert (a.status, a.proof) == (b.status, b.proof), (label, m, p)
+                checked += 1
+    assert checked == 102
 
 
 PRODUCT_FACTORS = [

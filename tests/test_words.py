@@ -356,51 +356,84 @@ def test_scan_matches_per_leading_value_reference():
                 # rational, with exact zeros: many ties at gamma_hat = 0
                 zeros = [rng.choice((0.0, 0.5, -0.25, 1 / 3, 2.0)) for _ in range(d)]
                 cases.append((zeros, tau, q_max))
-    # chunked boxes: several leading values per chunk at d = 3, two-value
-    # prefixes at d = 4, 5 and 8 (at q_max = 32 and 12 one leading value
-    # alone carries over 2^18 rows)
-    assert [words._prefix_runs(d, q)[0] for d, q in ((3, 30), (4, 32), (5, 12), (8, 2))] == [
-        1, 2, 2, 2]
-    assert len(words._prefix_runs(3, 30)[1]) > 1 and len(words._prefix_runs(8, 2)[1]) > 1
+    # chunked boxes: one chunk and no head at d = 2, q_max = 100 and d = 3,
+    # q_max = 30, runs of several leading values at d = 1, 2, 3 and 8,
+    # two-value heads at d = 4 and 5 (at q_max = 32 and 12 one leading
+    # value alone carries over 2^18 points); (d, q_max, head length, runs)
+    for d, q_max, k, runs in (
+        (2, 100, 0, 1), (3, 30, 0, 1), (1, 1 << 18, 1, 3), (2, 400, 1, 3),
+        (3, 100, 1, 34), (4, 32, 2, 69), (5, 12, 2, 40), (8, 2, 1, 2),
+    ):
+        head, width, *_ = words._scan_plan(d, q_max, float(d))
+        assert (head, math.ceil((2 * q_max + 1) ** head / width)) == (k, runs), (d, q_max)
     cases.append(([rng.uniform(-1, 1) for _ in range(8)], 8.0, 2))
     cases.append(([rng.uniform(-1, 1) for _ in range(3)], 3.0, 30))
     cases.append(([0.5, 0.0, 0.25], 3.0, 30))
     cases.append(([0.5, 0.0, 0.25, 1 / 3, 0.0, 2.0, -0.25, 0.5], 8.0, 2))
     cases.append(([rng.uniform(-1, 1) for _ in range(4)], 4.0, 32))
     cases.append(([rng.uniform(-1, 1) for _ in range(5)], 5.0, 12))
-    # interleave shapes, vectors and taus, so cached grids serve many calls
+    # a box of 34 chunks, more than a cache of 8 chunks could hold, and
+    # head runs at d = 1 and 2, also with weights from a fractional tau
+    cases.append(([rng.uniform(-1, 1) for _ in range(3)], 3.0, 100))
+    cases.append(([0.5, -0.25, 1 / 3], 3.0, 100))
+    cases.append(([rng.uniform(-1, 1)], 1.0, 1 << 18))
+    cases.append(([rng.uniform(-3, 3)], -0.5, 1 << 18))
+    cases.append(([rng.uniform(-1, 1) for _ in range(2)], 2.0, 400))
+    cases.append(([rng.uniform(-1, 1) for _ in range(2)], 1.7, 400))
+    # interleave shapes, vectors and taus, so cached plans serve many calls
     rng.shuffle(cases)
     for vector, tau, q_max in cases:
         rep = diophantine_estimate(vector, tau=tau, q_max=q_max)
         assert (rep.gamma_hat, rep.worst_n) == reference_scan(vector, tau, q_max), (
             vector, tau, q_max)
-    # the cached arrays are shared by every later scan of their shape
-    for a in words._scan_chunk(2, 7, 2.0, 1, 0, 15):
+    # the cached arrays are shared by every later scan of their box
+    for a in words._scan_plan(2, 7, 2.0)[2:]:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
 
 
 def test_scan_matvecs_stay_under_chunk_entries(monkeypatch):
-    # at d = 4, q_max = 31 one leading value carries 63^3 points, about
-    # four times SCAN_CHUNK_ENTRIES entries, so the box is chunked by
-    # two-value prefixes
-    assert 4 * 63**3 > words.SCAN_CHUNK_ENTRIES
-    sizes = []
-    scan_chunk = words._scan_chunk
+    # at d = 4, q_max = 31 one leading value carries 63^3 points, just
+    # under SCAN_CHUNK_ENTRIES, so each chunk holds one leading value
+    assert 63**3 <= words.SCAN_CHUNK_ENTRIES < 2 * 63**3
+    chunks = []
+    rint = np.rint
 
-    def spy(*key):
-        chunk = scan_chunk(*key)
-        sizes.append(chunk[0].size)
-        return chunk
+    def spy(x, out=None):
+        # (first n.v, points, whether n.v runs up by one from the first)
+        first = x.flat[0]
+        chunks.append((first, x.size, np.array_equal(x.ravel(), first + np.arange(x.size))))
+        return rint(x, out=out)
 
-    monkeypatch.setattr(words, "_scan_chunk", spy)
+    # with v = (63^3, 63^2, 63, 1), n.v is n's lexicographic index in the
+    # box, less the index of n = 0, and every n.v is exact
+    monkeypatch.setattr(np, "rint", spy)
+    rep = diophantine_estimate([63.0**3, 63.0**2, 63.0, 1.0], tau=4.0, q_max=31)
+    monkeypatch.undo()
+    assert rep.gamma_hat == 0.0
+    assert max(size for _, size, _ in chunks) <= words.SCAN_CHUNK_ENTRIES
+    # the chunks cover the 63^4 points once each, in order
+    assert all(runs_up for _, _, runs_up in chunks)
+    ends = [first + size for first, size, _ in chunks]
+    assert [first for first, _, _ in chunks] == [-((63**4 - 1) // 2)] + ends[:-1]
+    assert ends[-1] == (63**4 + 1) // 2
     vector = [0.3125, -0.7734, 0.1187, math.sqrt(2.0) - 1.0]
     rep = diophantine_estimate(vector, tau=4.0, q_max=31)
-    monkeypatch.undo()
-    assert max(sizes) <= words.SCAN_CHUNK_ENTRIES
-    assert sum(sizes) == 4 * 63**4
     assert (rep.gamma_hat, rep.worst_n) == reference_scan(vector, 4.0, 31)
+
+
+def test_second_scan_of_a_box_builds_no_plan():
+    # a d = 3, q_max = 100 box runs in 34 chunks, more than a cache of 8
+    # chunks could hold; the plan holds no vector data, so one serves
+    # every vector: the axis and the tail grid's norms and weights
+    words._scan_plan.cache_clear()
+    diophantine_estimate([0.3, -0.7, math.sqrt(2.0)], tau=3.0, q_max=100)
+    diophantine_estimate([math.pi - 3.0, 0.1, -0.9], tau=3.0, q_max=100)
+    info = words._scan_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    *_, tail_norm, tail_weight = words._scan_plan(3, 100, 3.0)
+    assert tail_norm.size == tail_weight.size == 201**2
 
 
 def test_default_q_max_scans_at_most_the_d3_box():
