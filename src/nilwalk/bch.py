@@ -11,22 +11,28 @@ The coefficient table is derived here from the combinatorial formula and
 is *validated* by the associativity tests rather than trusted as a
 transcription.
 
+The series is evaluated in the Lyndon basis with standard bracketing
+(Reutenauer, Free Lie Algebras, 1993, ch. 5), as Casas & Murua, J. Math.
+Phys. 50, 033513 (2009) write it: the Dynkin sum is rewritten, once per
+step, as sum c_w P_w over Lyndon words w, P_w = [P_u, P_v] for w's
+standard factorization.  Through step 6 that takes 15 terms on 17
+brackets, against 38 terms on 44 suffix brackets for the right-nested
+words of the Dynkin form.
+
 One evaluator, _bch_over, runs the series on the algebra's integer
-table (denominator D), where a length-L word's nested bracket, taken at
-x = xs / d, y = ys / d, sits over d^L D^(L-1), and each word carries the
-integer C_L c_w, C_L the lcm of the length-L coefficients' denominators.
-The series is compiled once per step into a plan: a flat list of the
-suffix brackets the words need, shortest first, and one term per word.
-The evaluator walks the plan once, takes no bracket on an all-zero
-suffix (so no longer word on it is built) and adds each word's term
-straight into the result with one weight per length.  bch_product, the
-exact group law, runs it on the integer numerators of two LieVectors
-with integer weights that put every length over one denominator M, and
-builds no Fraction; a zero argument returns the other one unchanged.
-bch_coords runs it on any scalars (Fractions, or the polynomials of
-coords' group law) with the Fraction weights 1 / (C_L D^(L-1)), so
-nothing is scaled up to M and back.  The truncation of the series at the
-step is the one of Casas & Murua, J. Math. Phys. 50, 033513 (2009).
+table (denominator D), where a length-L bracket, taken at x = xs / d,
+y = ys / d, sits over d^L D^(L-1), and each term carries the integer
+C_L c_w, C_L the lcm of the length-L coefficients' denominators.  The
+plan is a flat list of the Lyndon brackets the terms need, shortest
+first, and one term per word with c_w != 0.  The evaluator walks the
+plan once, takes no bracket on an all-zero one (so no longer word built
+on it is either) and adds each term straight into the result with one
+weight per length.  bch_product, the exact group law, runs it on the
+integer numerators of two LieVectors with integer weights that put every
+length over one denominator M, and builds no Fraction; a zero argument
+returns the other one unchanged.  bch_coords runs it on any scalars
+(Fractions, or the polynomials of coords' group law) with the Fraction
+weights 1 / (C_L D^(L-1)), so nothing is scaled up to M and back.
 """
 
 from __future__ import annotations
@@ -103,31 +109,84 @@ def bch_word_coefficients(max_len: int):
     return table
 
 
+def _commutator(a, b):
+    """ab - ba for {word: coefficient} elements of the free associative
+    algebra on {x, y}, words as tuples of letters."""
+    out = {}
+    for u, s in a.items():
+        for v, t in b.items():
+            out[u + v] = out.get(u + v, 0) + s * t
+            out[v + u] = out.get(v + u, 0) - s * t
+    return out
+
+
 @lru_cache(maxsize=None)
 def _series_plan(step: int):
-    """(brackets, terms, scale): the Dynkin series through words of length
-    step, compiled once per step.
+    """(brackets, terms, scale): the series through length step in the
+    Lyndon basis, compiled once per step.
+
+    The Dynkin sum of bch_word_coefficients(step) and each Lyndon
+    polynomial P_w = [P_u, P_v] (v the longest proper Lyndon suffix of w,
+    P_x = x, P_y = y) are expanded in the free associative algebra.  P_w
+    is w plus lexicographically larger words of its length, so taking the
+    Lyndon words in increasing order, the coefficient c_w of P_w is the
+    residual's coefficient at w, and c_w P_w is subtracted from the
+    residual.  A residual left at the end raises ArithmeticError.
 
     scale is {L: C_L}, C_L the lcm of the denominators of the length-L
     coefficients, so that every C_L * c_w is an integer.  Slots 0 and 1
-    hold x and y.  brackets lists (letter, tail) for every suffix of
-    length >= 2 that a coefficient word needs, shortest first; the suffix
-    of brackets[i] goes to slot i + 2 and is [slot letter, slot tail].
-    terms lists (slot, L, C_L * c_w) for each word w, of length L.
+    hold x and y.  brackets lists (left, right) for every Lyndon word of
+    length >= 2 with c_w != 0 or in the standard factorization, at any
+    depth, of one that has, shortest first; P_w of brackets[i] goes to
+    slot i + 2 and is [slot left, slot right].  terms lists
+    (slot, L, C_L * c_w) for each w with c_w != 0, of length L.
     """
-    table = bch_word_coefficients(step)
+    # the Lyndon words of length >= 2 in increasing (length, word) order
+    lyndon = [
+        w
+        for L in range(2, step + 1)
+        for w in product((0, 1), repeat=L)
+        if all(w < w[i:] for i in range(1, L))
+    ]
+    poly, factors = {(0,): {(0,): 1}, (1,): {(1,): 1}}, {}
+    for w in lyndon:
+        i = next(i for i in range(1, len(w)) if w[i:] in poly)
+        factors[w] = (w[:i], w[i:])
+        poly[w] = _commutator(poly[w[:i]], poly[w[i:]])
+
+    residual = {}
+    for word, c in bch_word_coefficients(step).items():
+        nested = {word[-1:]: 1}
+        for letter in reversed(word[:-1]):
+            nested = _commutator({(letter,): 1}, nested)
+        for u, t in nested.items():
+            residual[u] = residual.get(u, 0) + c * t
+    coefficients = {}
+    for w in lyndon:
+        c = residual.get(w, 0)
+        if c:
+            coefficients[w] = c
+            for u, t in poly[w].items():
+                residual[u] = residual.get(u, 0) - c * t
+    if any(residual.values()):
+        raise ArithmeticError(f"the step-{step} BCH series is not a sum of Lyndon brackets")
+
+    needed = set(coefficients)
+    for w in reversed(lyndon):  # longest first: a word's factors are shorter
+        if w in needed:
+            needed.update(factors[w])
     scale = {}
-    for word, c in table.items():
-        scale[len(word)] = lcm(scale.get(len(word), 1), c.denominator)
-    suffixes = {w[i:] for w in table for i in range(len(w) - 1)}
+    for w, c in coefficients.items():
+        scale[len(w)] = lcm(scale.get(len(w), 1), c.denominator)
     slots = {(0,): 0, (1,): 1}
     brackets = []
-    for word in sorted(suffixes, key=lambda w: (len(w), w)):
-        slots[word] = len(slots)
-        brackets.append((word[0], slots[word[1:]]))
+    for w in lyndon:
+        if w in needed:
+            slots[w] = len(slots)
+            brackets.append(tuple(slots[f] for f in factors[w]))
     terms = [
         (slots[w], len(w), c.numerator * (scale[len(w)] // c.denominator))
-        for w, c in table.items()
+        for w, c in coefficients.items()
     ]
     return brackets, terms, scale
 
@@ -143,19 +202,19 @@ def _integer_weights(step: int, D: int, d: int):
 
 
 def _bch_over(sc: StructureConstants, xs, ys, base, weights):
-    """base * (xs + ys) + sum over the coefficient words w of
+    """base * (xs + ys) + sum over the plan's Lyndon words w of
     weights[|w|] * C_L c_w * N_w, for scalars of any ring type, where
-    N_w is w's right-nested bracket taken with sc.integer_bracket.
+    N_w is w's Lyndon bracket P_w taken with sc.integer_bracket.
 
-    The plan is walked once.  A suffix that is all zero is stored as None
-    and no bracket is taken on it, so every longer word on that suffix is
-    skipped too.
+    The plan is walked once.  A bracket that is all zero is stored as
+    None and no bracket is taken on it, so every longer word built on it
+    is skipped too.
     """
     brackets, terms, _ = _series_plan(sc.step)
     br = sc.integer_bracket
     vals = [xs if any(xs) else None, ys if any(ys) else None]
-    for letter, tail in brackets:
-        a, b = vals[letter], vals[tail]
+    for left, right in brackets:
+        a, b = vals[left], vals[right]
         v = br(a, b) if a is not None and b is not None else None
         vals.append(v if v is not None and any(v) else None)
     out = [a + b for a, b in zip(xs, ys)]

@@ -301,20 +301,35 @@ def diophantine_estimate(vector, tau: float, q_max: int) -> DiophantineReport:
     tails = [axis * x for x in v[k:]]  # n_i v_i along each tail coordinate's axis
     zero = (side**d - 1) // 2  # the lexicographic index of n = 0
     best, best_n = math.inf, None
+    if k:
+        # every run of a box of several chunks writes n.v, the scratch for
+        # rint and the weights, and the norm test into these, sliced to the
+        # run.  The two float rows are one allocation: as two, glibc gave
+        # them back to the system after each call and every call faulted
+        # them in again (about 1,000 minor faults at d = 2, q_max = 400)
+        size = width * tail_norm.size
+        buffers = (*np.empty((2, size)), np.empty(size, dtype=bool))
     for a in range(0, side**k, width):
         # n.v summed left to right: the run's head products, then the tail's
-        terms, weight = tails, tail_weight
+        terms, out, spare = tails, None, None
         if k:
             run = np.arange(a, min(a + width, side**k))
             # n's first k coordinates: k rows (integer division is slow, so not for k = 1)
             head = np.array(np.unravel_index(run, (side,) * k) if k > 1 else [run]) - q_max
+            shape = run.shape + tail_norm.shape
+            out, spare, cond = (b[: run.size * tail_norm.size].reshape(shape) for b in buffers)
             terms = [functools.reduce(np.add, [h * x for h, x in zip(head, v)])] + tails
+        *rest, last = terms
+        vals = np.add.outer(functools.reduce(np.add.outer, rest), last, out=out) if rest else last
+        vals -= np.rint(vals, out=spare)
+        np.abs(vals, out=vals)
+        weight = tail_weight
+        if k:
             # |n|^tau: the tail's, but the head's where the tail's norm is at most the head's
             norm = functools.reduce(np.maximum, np.abs(head)).reshape(run.shape + (1,) * (d - k))
-            weight = np.where(tail_norm > norm, tail_weight, np.maximum(norm, 1.0) ** tau)
-        vals = functools.reduce(np.add.outer, terms)
-        vals -= np.rint(vals)
-        np.abs(vals, out=vals)
+            weight = spare
+            np.copyto(weight, np.maximum(norm, 1.0) ** tau)
+            np.copyto(weight, tail_weight, where=np.greater(tail_norm, norm, out=cond))
         vals *= weight
         start = a * tail_norm.size
         if 0 <= zero - start < vals.size:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilwalk import catalog
+from nilwalk import bch, catalog
 from nilwalk.bch import (
+    MAX_STEP,
     Word,
     bch_coords,
     bch_product,
@@ -147,6 +148,99 @@ def test_no_bracket_is_taken_on_a_zero_suffix(monkeypatch):
     x, y = LieVector.basis(4, 0), LieVector([F(1), F(2), F(0), F(-1)])
     assert bch_product(sc, x, y) == x + y
     assert counted == []
+
+
+def _free_bracket(a, b):
+    """ab - ba in the free associative algebra, {word tuple: coefficient}."""
+    out = {}
+    for u, s in a.items():
+        for v, t in b.items():
+            out[u + v] = out.get(u + v, 0) + s * t
+            out[v + u] = out.get(v + u, 0) - s * t
+    return {w: c for w, c in out.items() if c}
+
+
+def _plan_words(step):
+    """The plan's slot polynomials expanded in the free algebra, and
+    {least word of P_w: c_w} from its terms."""
+    brackets, terms, scale = bch._series_plan(step)
+    polys = [{(X,): 1}, {(Y,): 1}]
+    for left, right in brackets:
+        polys.append(_free_bracket(polys[left], polys[right]))
+    coefficients = {min(polys[slot]): F(e, scale[L]) for slot, L, e in terms}
+    return polys, coefficients, terms
+
+
+# (brackets, terms) per step; the right-nested Dynkin words would take
+# 2/2, 6/6, 8/8, 30/24 and 44/38 at steps 2-6
+PLAN_SIZES = {2: (1, 1), 3: (3, 3), 4: (4, 4), 5: (12, 10), 6: (17, 15)}
+LYNDON_COEFFICIENTS = {
+    (X, Y): F(1, 2),
+    (X, X, Y): F(1, 12),
+    (X, Y, Y): F(1, 12),
+    (X, X, Y, Y): F(1, 24),
+    (X, X, X, X, Y): F(-1, 720),
+    (X, X, X, Y, Y): F(1, 180),
+    (X, X, Y, X, Y): F(1, 360),
+    (X, X, Y, Y, Y): F(1, 180),
+    (X, Y, X, Y, Y): F(1, 120),
+    (X, Y, Y, Y, Y): F(-1, 720),
+    (X, X, X, X, Y, Y): F(-1, 1440),
+    (X, X, X, Y, X, Y): F(1, 720),
+    (X, X, X, Y, Y, Y): F(1, 360),
+    (X, X, Y, X, Y, Y): F(1, 240),
+    (X, X, Y, Y, Y, Y): F(-1, 1440),
+}
+
+
+@pytest.mark.parametrize("step", range(2, MAX_STEP + 1))
+def test_lyndon_plan_expands_to_the_dynkin_sum(step):
+    """Every P_w is w plus larger words, w Lyndon, and the plan's sum of
+    c_w P_w is the Dynkin sum, both expanded in the free algebra."""
+    polys, coefficients, terms = _plan_words(step)
+    basis = {min(p): p for p in polys[2:]}
+    assert len(basis) == len(polys) - 2
+    for w, p in basis.items():
+        assert p[w] == 1 and all(w < w[i:] for i in range(1, len(w)))
+    lyndon_sum = {}
+    for w, c in coefficients.items():
+        for u, t in basis[w].items():
+            lyndon_sum[u] = lyndon_sum.get(u, 0) + c * t
+    dynkin_sum = {}
+    for word, c in bch_word_coefficients(step).items():
+        nested = {word[-1:]: 1}
+        for letter in reversed(word[:-1]):
+            nested = _free_bracket({(letter,): 1}, nested)
+        for u, t in nested.items():
+            dynkin_sum[u] = dynkin_sum.get(u, 0) + c * t
+    assert {u: c for u, c in lyndon_sum.items() if c} == {u: c for u, c in dynkin_sum.items() if c}
+    assert (len(polys) - 2, len(terms)) == PLAN_SIZES[step]
+    assert coefficients == {w: c for w, c in LYNDON_COEFFICIENTS.items() if len(w) <= step}
+
+
+def test_lyndon_plan_refuses_a_residual(monkeypatch):
+    # with ab in place of ab - ba every word expands to itself, so the
+    # Dynkin words that are not Lyndon, such as yx, are left over
+    monkeypatch.setattr(
+        bch, "_commutator", lambda a, b: {u + v: s * t for u, s in a.items() for v, t in b.items()}
+    )
+    with pytest.raises(ArithmeticError, match="Lyndon"):
+        bch._series_plan.__wrapped__(2)
+
+
+def test_step6_product_takes_one_bracket_per_plan_entry(monkeypatch):
+    """On triangular(6), of step 6, no Lyndon bracket of generic vectors
+    vanishes: one product takes all 17 of the plan's brackets."""
+    sc = catalog.triangular(6)
+    n = sc.dim
+    x = LieVector([F(i - 2, 3 + i) for i in range(n)])
+    y = LieVector([F(5 - 2 * i, 4) for i in range(n)])
+    calls = []
+    inner = sc.integer_bracket
+    monkeypatch.setattr(sc, "integer_bracket", lambda xs, ys: calls.append(1) or inner(xs, ys))
+    got = bch_product(sc, x, y)
+    assert (sc.step, len(calls)) == (6, 17)
+    assert got == LieVector(dynkin_reference(sc, x.coords, y.coords))
 
 
 def test_bch_coords_on_polynomials_matches_reference():

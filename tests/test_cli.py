@@ -50,6 +50,19 @@ def test_exact_commands_leave_numpy_unloaded():
     assert _fresh_python(code) == "[0, 0, 0] False"
 
 
+def test_imports_build_no_bch_series():
+    # the step-6 series takes about 10 ms to derive, so it waits for the
+    # first product that needs it
+    code = (
+        "from nilwalk import bch\n"
+        "def sizes(): return bch._series_plan.cache_info().currsize, "
+        "bch.bch_word_coefficients.cache_info().currsize\n"
+        "import nilwalk; after_package = sizes()\n"
+        "import nilwalk.cli; print(after_package, sizes())"
+    )
+    assert _fresh_python(code) == "(0, 0) (0, 0)"
+
+
 def test_numpy_backed_names_resolve_on_first_use():
     code = (
         "import sys, nilwalk\n"

@@ -143,6 +143,24 @@ def test_clt_chunk_reuses_held_value_bitwise(make, lam, moving):
         assert len(calls) == 1 + N * (moving + 1)
 
 
+@pytest.mark.parametrize(
+    "make, lam",
+    [(golden_heisenberg_config, (1, 0, 0)), (quarters_config, (1,))],
+    ids=["golden-heisenberg", "circle-quarters"],
+)
+def test_pinned_clt_runs_have_a_dispatch_free_product(make, lam):
+    """_clt_chunk's np.real(w * v) is fused under numpy's default SIMD
+    dispatch (Re w Re v - Im w Im v in one rounding), not under the
+    baseline, so for a general w its last bit moves with the dispatch.
+    Re w == 1 makes the fused product exact, and Im w == 0 leaves nothing
+    to subtract, so the pinned CLT runs (PINNED_SHA256's and the
+    circle-quarters STDOUT_SHA256 entry) cannot see it.  A new pinned run
+    on a general w fails here first."""
+    c, _ = transfer_eigenvalue(make(), Character(lam))
+    w = 1.0 / (1.0 - c)  # as clt_experiment passes it
+    assert w.real == 1.0 or w.imag == 0.0
+
+
 def test_clt_iid_control():
     rep = clt_experiment(quarters_config(), Character((1,)), N=256, trials=1000, seed=3)
     assert rep.sigma_model == pytest.approx(math.sqrt(0.5))
