@@ -1,20 +1,20 @@
 """Exact Baker-Campbell-Hausdorff products on nilpotent algebras.
 
-log(exp x exp y) is computed from the Dynkin series.  For each word w
-over the letters {x, y} the series contributes c_w * [w], where [w] is
-the right-nested bracket of the word and the rational coefficient c_w
-sums (-1)^(n-1) / (n * |w| * prod r_i! s_i!) over all ways to cut w into
-n consecutive blocks of the shape x^r y^s.  Nilpotency truncates the
-series at words of length step, so the whole computation is exact.
-
-The coefficient table is derived here from the combinatorial formula and
-is *validated* by the associativity tests rather than trusted as a
-transcription.
+log(exp x exp y) is computed once per step, on first use, in the free
+associative algebra on the letters {x, y}: the sum over n of
+(-1)^(n-1) / n * (exp x exp y - 1)^n, truncated at words of length step
+with exact Fractions.  Nilpotency truncates the series at that length,
+so the whole computation is exact.  Both forms of the series are read
+off it.  The Dynkin form gives a word w its coefficient over |w|
+(Dynkin-Specht-Wever: a Lie element of degree L is 1/L times the sum of
+its words' right-nested brackets), and the Lyndon form below solves its
+coefficients from it.  Both are *validated* by the associativity tests
+rather than trusted as a transcription.
 
 The series is evaluated in the Lyndon basis with standard bracketing
 (Reutenauer, Free Lie Algebras, 1993, ch. 5), as Casas & Murua, J. Math.
-Phys. 50, 033513 (2009) write it: the Dynkin sum is rewritten, once per
-step, as sum c_w P_w over Lyndon words w, P_w = [P_u, P_v] for w's
+Phys. 50, 033513 (2009) write it: the series is solved, once per step,
+as sum c_w P_w over Lyndon words w, P_w = [P_u, P_v] for w's
 standard factorization.  Through step 6 that takes 15 terms on 17
 brackets, against 38 terms on 44 suffix brackets for the right-nested
 words of the Dynkin form.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .lie_core import LieVector, StructureConstants
 
@@ -55,58 +55,47 @@ __all__ = [
 MAX_STEP = 6
 
 
-def _block_coefficient(word):
-    """Sum over decompositions of word into x^r y^s blocks."""
-    L = len(word)
-    total = Fraction(0)
-    # a cut pattern is a subset of the L-1 gaps; a block is valid iff its
-    # letters never step from y (1) back to x (0)
-    for mask in range(1 << (L - 1)):
-        blocks = []
-        start = 0
-        for g in range(L - 1):
-            if mask & (1 << g):
-                blocks.append(word[start : g + 1])
-                start = g + 1
-        blocks.append(word[start:])
-        ok = True
-        denom = L
-        for b in blocks:
-            r = 0
-            while r < len(b) and b[r] == 0:
-                r += 1
-            if any(ch == 0 for ch in b[r:]):
-                ok = False
-                break
-            s = len(b) - r
-            denom *= factorial(r) * factorial(s)
-        if not ok:
-            continue
-        n = len(blocks)
-        total += Fraction((-1) ** (n - 1), n * denom)
-    return total
+@lru_cache(maxsize=None)
+def _bch_log(step: int):
+    """{word: coefficient} for the words of length 1..step with a nonzero
+    coefficient in log(exp x exp y), the sum over n of (-1)^(n-1) / n *
+    (exp x exp y - 1)^n in the free associative algebra on {x, y},
+    truncated at length step; words are tuples of letters, x = 0, y = 1."""
+    if step > MAX_STEP:
+        raise ValueError(f"BCH series built up to step {MAX_STEP}; this algebra has step {step}")
+    # exp x exp y - 1 is the sum of the words x^r y^s over r! s!, 0 < r + s
+    # <= step, shortest first; a length-L word's coefficient is kept times
+    # L!, which leaves those of every power of it integers (sums of
+    # multinomials): a product of u and v takes the binomial (|uv| over |u|)
+    z = [((0,) * r + (1,) * (L - r), comb(L, r)) for L in range(1, step + 1) for r in range(L + 1)]
+    log, power = {}, {(): 1}
+    for n in range(1, step + 1):
+        nxt = {}
+        for u, a in power.items():
+            for v, b in z:
+                if len(u) + len(v) > step:
+                    break
+                w = u + v
+                nxt[w] = nxt.get(w, 0) + a * b * comb(len(w), len(u))
+        power = nxt
+        for w, c in power.items():
+            log[w] = log.get(w, 0) + Fraction((-1) ** (n - 1) * c, n)
+    return {w: c / factorial(len(w)) for w, c in log.items() if c}
 
 
 @lru_cache(maxsize=None)
 def bch_word_coefficients(max_len: int):
     """{word: coefficient} for words of length 2..max_len, the step of
-    the algebra the series runs on.
+    the algebra the series runs on: the Dynkin coefficient of a word is
+    its coefficient in _bch_log(max_len) over its length.
 
     Words ending in a doubled letter are dropped (their right-nested
     bracket starts with [l, l] = 0), as are words whose coefficient
     vanishes.
     """
-    if max_len > MAX_STEP:
-        raise ValueError(f"BCH series built up to step {MAX_STEP}; this algebra has step {max_len}")
-    table = {}
-    for L in range(2, max_len + 1):
-        for word in product((0, 1), repeat=L):
-            if word[-1] == word[-2]:
-                continue
-            c = _block_coefficient(word)
-            if c:
-                table[word] = c
-    return table
+    return {
+        w: c / len(w) for w, c in _bch_log(max_len).items() if len(w) >= 2 and w[-1] != w[-2]
+    }
 
 
 def _commutator(a, b):
@@ -125,7 +114,7 @@ def _series_plan(step: int):
     """(brackets, terms, scale): the series through length step in the
     Lyndon basis, compiled once per step.
 
-    The Dynkin sum of bch_word_coefficients(step) and each Lyndon
+    The series _bch_log(step), from length 2 on, and each Lyndon
     polynomial P_w = [P_u, P_v] (v the longest proper Lyndon suffix of w,
     P_x = x, P_y = y) are expanded in the free associative algebra.  P_w
     is w plus lexicographically larger words of its length, so taking the
@@ -154,13 +143,7 @@ def _series_plan(step: int):
         factors[w] = (w[:i], w[i:])
         poly[w] = _commutator(poly[w[:i]], poly[w[i:]])
 
-    residual = {}
-    for word, c in bch_word_coefficients(step).items():
-        nested = {word[-1:]: 1}
-        for letter in reversed(word[:-1]):
-            nested = _commutator({(letter,): 1}, nested)
-        for u, t in nested.items():
-            residual[u] = residual.get(u, 0) + c * t
+    residual = {w: c for w, c in _bch_log(step).items() if len(w) >= 2}
     coefficients = {}
     for w in lyndon:
         c = residual.get(w, 0)

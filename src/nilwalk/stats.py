@@ -26,9 +26,10 @@ import numpy as np
 from .walk import (
     Character,
     WalkConfig,
+    _eigenvalue,
     run_chunks,
     sample_paths,
-    transfer_eigenvalue,
+    torus_characters,
 )
 
 __all__ = [
@@ -87,7 +88,10 @@ def _clt_chunk(config, char, w, N, size, rng):
         b1 = np.zeros(size)
         b2 = np.zeros(size)
         for p, shift, zero in zip(pfloat, config.shifts, still):
-            b = np.real(w * (held if zero else char.values(prev + shift)))
+            v = held if zero else char.values(prev + shift)
+            # Re(w v) as two separately rounded products, which no SIMD
+            # dispatch fuses into one rounding as it can w * v
+            b = v.real * w.real - v.imag * w.imag
             b1 += p * b
             b2 += p * b * b
         q_total += float(np.sum(b2 - b1 * b1))
@@ -106,18 +110,18 @@ def clt_experiment(
     the conditional increment variances over all paths and steps, which
     converges to the same limit when the walk equidistributes.  As in
     correlation_sweep, the paths run on the abelianized torus, once
-    transfer_eigenvalue has validated the character.
+    torus_characters has validated the character and cut it to level 0.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if trials < 100:
         raise ValueError("too few trials for a distributional test")
-    c, resonant = transfer_eigenvalue(config, char)
+    torus_char = torus_characters(config, [char])[0]
+    c, resonant = _eigenvalue(config, torus_char.lam)
     if resonant:
         raise ResonanceError(f"character {char.lam} is resonant for these generators")
     sigma_model = closed_form_sigma(c)
 
-    torus_char = Character(char.lam[: config.shifts.shape[1]])
     results = run_chunks(_clt_chunk, config, trials, seed, torus_char, 1.0 / (1.0 - c), N)
     samples = np.concatenate([s for s, _ in results])
     q_mean = sum(q for _, q in results) / (trials * N)

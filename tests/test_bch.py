@@ -1,9 +1,12 @@
-"""The Dynkin coefficients are derived combinatorially, so the checks
-here are what actually certifies them: frozen low-order values, the
-classical degree-3 closed form on exact vectors, and associativity of
-the induced product, which fails loudly for any wrong coefficient."""
+"""The series is derived here, as log(exp x exp y) truncated in the free
+algebra, so the checks here are what actually certifies it: its
+exponential, frozen low-order values and per-step digests, the classical
+degree-3 closed form on exact vectors, and associativity of the induced
+product, which fails loudly for any wrong coefficient."""
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +255,62 @@ def test_bch_coords_on_polynomials_matches_reference():
     got = bch_coords(sc, xs, ys)
     assert got == dynkin_reference(sc, xs, ys)
     assert any(len(p.terms) > 2 for p in got)
+
+
+def _free_product(a, b, step):
+    """ab in the free associative algebra, words longer than step dropped."""
+    out = {}
+    for u, s in a.items():
+        for v, t in b.items():
+            if len(u) + len(v) <= step:
+                out[u + v] = out.get(u + v, 0) + s * t
+    return out
+
+
+@pytest.mark.parametrize("step", range(2, MAX_STEP + 1))
+def test_series_exponentiates_to_exp_x_exp_y(step):
+    """exp of _bch_log(step), the sum of its powers over n!, truncated at
+    length step, is exp x exp y: the words x^r y^s over r! s!."""
+    log = bch._bch_log(step)
+    total, power = {(): F(1)}, {(): F(1)}
+    for n in range(1, step + 1):
+        power = _free_product(power, log, step)
+        for w, c in power.items():
+            total[w] = total.get(w, 0) + c / factorial(n)
+    expected = {
+        (X,) * r + (Y,) * s: F(1, factorial(r) * factorial(s))
+        for r in range(step + 1)
+        for s in range(step + 1 - r)
+    }
+    assert {w: c for w, c in total.items() if c} == expected
+
+
+# SHA-256 of repr(sorted(bch_word_coefficients(step).items())) and of
+# repr(_series_plan(step)), taken when the Dynkin table came from
+# Goldberg's cut sum over block decompositions, an independent derivation
+SERIES_SHA256 = {
+    1: ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "e2cd28edc2e7b39ae90f1c03cd31d015977383fe3887983c84ef9025e6367fe3"),
+    2: ("00985b87a4e258573130579ef3899513c9e112eeb31d260b7893ba3860c37eb6",
+        "487ec811c699f6eee1059ab9c20cdd8ef679b648bcfa46483b20e65db4bbbdc1"),
+    3: ("6572bcfe089fbae905741216cc882224024aa0e9254784ac48268674096a2bb0",
+        "73b507b7d127cddbe2586e461765e71a24acd5c65c3e53ca0a1c11c0fdffe74b"),
+    4: ("397820468373845c1ea85a47782efc7621eaa267bdaf16db5f737bea9c6db559",
+        "fdf4c46663f60e94d54189d8798aecb27c8c52a6adf416011cae0727d66eb20e"),
+    5: ("16d7ecc82fcd4bf005c43f9873e6b15ec331fd39425130fe577a9b647fe3dc50",
+        "55d6b1516eb7cf265bb832708996d008fea2f855cba77afc72169db7600c3ada"),
+    6: ("ef1bef8c75b7078d0ee2ba45bb7d1c161dcba005022cbd269617c89b33b15c17",
+        "0ddbea97b2b44b884c2ccb9b8bd1c1a11ce7eb3e5ea6ed4599097cdb37de4dea"),
+}
+
+
+@pytest.mark.parametrize("step", range(1, MAX_STEP + 1))
+def test_series_tables_are_pinned(step):
+    def digest(obj):
+        return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+    got = digest(sorted(bch_word_coefficients(step).items())), digest(bch._series_plan(step))
+    assert got == SERIES_SHA256[step]
 
 
 def test_low_order_coefficients():

@@ -97,7 +97,8 @@ def _reference_clt_chunk(config, char, w, N, size, rng):
         b1 = np.zeros(size)
         b2 = np.zeros(size)
         for p, shift in zip(pfloat, config.shifts):
-            b = np.real(w * char.values(prev + shift))
+            v = char.values(prev + shift)
+            b = v.real * w.real - v.imag * w.imag
             b1 += p * b
             b2 += p * b * b
         q_total += float(np.sum(b2 - b1 * b1))
@@ -141,24 +142,6 @@ def test_clt_chunk_reuses_held_value_bitwise(make, lam, moving):
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert len(calls) == 1 + N * (moving + 1)
-
-
-@pytest.mark.parametrize(
-    "make, lam",
-    [(golden_heisenberg_config, (1, 0, 0)), (quarters_config, (1,))],
-    ids=["golden-heisenberg", "circle-quarters"],
-)
-def test_pinned_clt_runs_have_a_dispatch_free_product(make, lam):
-    """_clt_chunk's np.real(w * v) is fused under numpy's default SIMD
-    dispatch (Re w Re v - Im w Im v in one rounding), not under the
-    baseline, so for a general w its last bit moves with the dispatch.
-    Re w == 1 makes the fused product exact, and Im w == 0 leaves nothing
-    to subtract, so the pinned CLT runs (PINNED_SHA256's and the
-    circle-quarters STDOUT_SHA256 entry) cannot see it.  A new pinned run
-    on a general w fails here first."""
-    c, _ = transfer_eigenvalue(make(), Character(lam))
-    w = 1.0 / (1.0 - c)  # as clt_experiment passes it
-    assert w.real == 1.0 or w.imag == 0.0
 
 
 def test_clt_iid_control():
