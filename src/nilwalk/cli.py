@@ -435,8 +435,9 @@ def build_parser():
         "--budget",
         type=int,
         default=200,
-        help="witness tries per level; the symbolic pencil is built once, at the"
-        " first random try evaluation does not prove, and may settle the level",
+        help="witness tries per level; after the structured ones the symbolic"
+        " pencil is built once, only where a proof of degeneracy can exist"
+        " (m < min(n0, max(p, 2))), and may settle the level",
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verify", action="store_true", help="recheck the certificate")

@@ -28,8 +28,19 @@ without building a polynomial: if the n_p x n_p integer matrix of the
 level-p coordinates at n_p fixed points a^(t) is nonsingular, no
 dependence lam can kill every row, so the coordinates are independent.
 A singular matrix proves nothing, and the search counts that try as
-failed, so every witness is proved by evaluation.  Degeneracy is
-decided once per level, on the symbolic pencil.
+failed, so every witness is proved by evaluation.
+
+Degeneracy is decided on the symbolic pencil, built at most once per
+level and only where a proof of it can exist.  Let V be level 0, of
+dimension n0.  The level-p block is the image of the free Lie algebra's
+degree-(p+1) part Lie_{p+1}(V), and by Schur-Weyl duality the pencil's
+values over all (k, a) span the image of its components S_lambda(V) with
+at most m rows.  No component has more than n0 rows, and for p >= 2 none
+has p+1, since the sign character does not occur in Lie_n for n >= 3
+(Kraskiewicz-Weyman).  So when m >= min(n0, max(p, 2)) the values span
+the whole level: no nonzero kernel annihilates the pencil, and it is not
+zero.  Such a level is futile; certify builds no pencil there, and verify
+refuses a degeneracy proof there without building one.
 """
 
 from __future__ import annotations
@@ -303,11 +314,24 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     return out
 
 
+def _check_level(sc: StructureConstants, p: int):
+    # the pencil is defined on levels 1..step-1; level 0 has no bracket
+    if not 1 <= p < sc.step:
+        raise ValueError(f"level {p} out of range 1..step-1 for step {sc.step}")
+
+
+def _futile(sc: StructureConstants, m: int, p: int):
+    """True when level p has no symbolic proof of degeneracy for m generic
+    vectors, m >= min(n0, max(p, 2)); the module docstring has the proof."""
+    return m >= min(sc.dims[0], max(p, 2))
+
+
 def build_pencil(sc: StructureConstants, m: int, p: int):
     """The full symbolic pencil at level p: n_p polynomials over
     pencil_ring(m, n0, p), with both the a and k blocks kept as variables."""
     if m < 1:
         raise ValueError("m must be positive")
+    _check_level(sc, p)
     ring = pencil_ring(m, sc.dims[0], p)
     kvars = [[ring.var(f"k{q}_{i + 1}") for i in range(m)] for q in range(p + 1)]
     return _nested_level(sc, ring, kvars)
@@ -331,6 +355,7 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     build_pencil(sc, m, p), but one nested bracket of numeric
     combinations.
     """
+    _check_level(sc, p)
     kbar = [tuple(row) for row in kbar]
     if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
         raise ValueError(f"k must be {p + 1} rows of length {m}")
@@ -458,14 +483,17 @@ class GreatnessCertificate:
     def verify(self, sc: StructureConstants):
         """Re-check every stored witness and kernel from scratch.
 
-        The levels must be exactly p = 1..step-1 of sc.  A witness must be
-        p+1 rows of m entries, proved by integer evaluation or else by the
-        exact polynomial rank of its pencil, so the answer is exact either
-        way.  A degenerate level must carry a proof that holds: its
-        symbolic pencil is zero, or a nonzero kernel with one entry per
-        coordinate annihilates it.  Entries must be ints or Fractions.  A
-        certificate it cannot read fails; verify never raises on it.
+        m must be an int >= 1, and the levels exactly p = 1..step-1 of sc.
+        A witness must be p+1 rows of m entries, proved by integer
+        evaluation or else by the exact polynomial rank of its pencil, so
+        the answer is exact either way.  A degenerate level must not be
+        futile, and must carry a proof that holds: its symbolic pencil is
+        zero, or a nonzero kernel with one entry per coordinate annihilates
+        it.  Entries must be ints or Fractions.  A certificate it cannot
+        read fails; verify never raises on it.
         """
+        if type(self.m) is not int or self.m < 1:
+            return False
         if self.step != sc.step or [lv.p for lv in self.levels] != list(range(1, sc.step)):
             return False
         for lv in self.levels:
@@ -478,6 +506,8 @@ class GreatnessCertificate:
                 ):
                     return False
             elif lv.status == "degenerate":
+                if _futile(sc, m, p):
+                    return False
                 if lv.proof == "identically_zero":
                     if any(build_pencil(sc, m, p)):
                         return False
@@ -556,6 +586,15 @@ def _symbolic_proof(p, coords, tried):
     )
 
 
+def _first_witness(sc, m, p, tries, tried):
+    """The witness LevelCertificate for the first k of tries that integer
+    evaluation proves, counted after `tried` earlier tries, or None."""
+    for t, kbar in enumerate(tries, tried + 1):
+        if _proved_independent(sc, m, p, kbar):
+            return LevelCertificate(p=p, status="witness", witness=kbar, tried=t)
+    return None
+
+
 def certify_greatness(
     sc: StructureConstants,
     m: int,
@@ -564,22 +603,15 @@ def certify_greatness(
 ) -> GreatnessCertificate:
     """Search for witnesses at every level 1..step-1, else prove degeneracy.
 
-    Structured candidates first, then uniform random integer rows in
-    {-3..3} up to the per-level budget.  Every try is decided by integer
-    evaluation alone: a nonsingular matrix proves it a witness, and a try
-    that evaluation does not prove counts as failed, so every witness in
-    the certificate is proved.
-
-    A level with no witness found is settled symbolically when possible:
-    either every pencil coordinate is the zero polynomial, or a single
-    rational kernel annihilates the whole symbolic pencil (hence every
-    integer evaluation).  Otherwise the level is reported undetermined.
-    The symbolic pencil is built once per level: at the first random try
-    that evaluation does not prove, or at the end if no random try was
-    made (budget 0 tries nothing and decides every level symbolically).
-    When that pencil settles the level the draw is undone, so the random
-    stream and every certificate are as if the build had come before the
-    draw; otherwise the random search goes on.
+    A level tries the structured candidates first, up to the budget.  If
+    none is a witness and the level is not futile (m < min(n0, max(p, 2));
+    see the module docstring), the symbolic pencil is built once and may
+    settle it: every coordinate is the zero polynomial, or one rational
+    kernel annihilates it, hence every integer evaluation.  A level still
+    open tries uniform random rows in {-3..3} for the rest of the budget,
+    and is reported undetermined if none is a witness.  Every try is
+    decided by integer evaluation alone, and a try it does not prove
+    counts as failed, so every witness in the certificate is proved.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -588,29 +620,16 @@ def certify_greatness(
     rng = random.Random(seed)
     levels = []
     for p in range(1, sc.step):
-        pen = cert = None
-        tried = 0
-        candidates = iter(_structured_candidates(m, p))
-        while tried < budget:
-            kbar = next(candidates, None)
-            drawn = kbar is None
-            if drawn:
-                # the state is kept only while the draw may still be undone
-                undrawn = rng.getstate() if pen is None else None
-                kbar = tuple(
-                    tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1)
-                )
-            if _proved_independent(sc, m, p, kbar):
-                cert = LevelCertificate(p=p, status="witness", witness=kbar, tried=tried + 1)
-                break
-            if drawn and pen is None:
-                pen = build_pencil(sc, m, p)
-                cert = _symbolic_proof(p, pen, tried)
-                if cert is not None:
-                    rng.setstate(undrawn)
-                    break
-            tried += 1
-        if cert is None and pen is None:
+        structured = _structured_candidates(m, p)[:budget]
+        tried = len(structured)
+        cert = _first_witness(sc, m, p, structured, 0)
+        if cert is None and not _futile(sc, m, p):
             cert = _symbolic_proof(p, build_pencil(sc, m, p), tried)
-        levels.append(cert or LevelCertificate(p=p, status="undetermined", tried=tried))
+        if cert is None:
+            draws = (
+                tuple(tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(p + 1))
+                for _ in range(budget - tried)
+            )
+            cert = _first_witness(sc, m, p, draws, tried)
+        levels.append(cert or LevelCertificate(p=p, status="undetermined", tried=budget))
     return GreatnessCertificate(m=m, step=sc.step, levels=tuple(levels))

@@ -177,6 +177,14 @@ def test_pencil_bad_k_shape(capsys):
     assert "rows" in err
 
 
+def test_pencil_level_out_of_range(capsys):
+    # level 0 has no bracket, so it has no pencil to print
+    for p in ("0", "2"):
+        code, out, err = run(capsys, "pencil", "heisenberg", "-m", "2", "-p", p)
+        assert code == 2 and out == ""
+        assert f"level {p} out of range 1..step-1 for step 2" in err
+
+
 def test_certify_exit_codes(capsys):
     code, out, _ = run(capsys, "certify", "heisenberg", "-m", "2")
     assert code == 0 and json.loads(out)["verdict"] == "great"

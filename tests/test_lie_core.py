@@ -23,7 +23,7 @@ from nilwalk.lie_core import (
     quotient_algebra,
     rescale_levels,
 )
-from nilwalk.pencil import build_pencil
+from nilwalk.pencil import build_pencil, pencil_at_k
 
 F = Fraction
 
@@ -217,16 +217,24 @@ LEVEL_READERS = {
     "project": lambda sc, p: project(sc, LieVector.zero(sc.dim), p),
     "quotient_algebra": quotient_algebra,
     "build_pencil": lambda sc, p: build_pencil(sc, 2, p),
+    "pencil_at_k": lambda sc, p: pencil_at_k(sc, 2, p, [(1, 0)] * (p + 1)),
     "reduction_map": lambda sc, p: SecondKindSystem(sc).reduction_map(p),
 }
+
+
+# the pencil has no level 0, and its readers name the range they take
+PENCIL_READERS = {"build_pencil", "pencil_at_k"}
 
 
 @pytest.mark.parametrize("reader", sorted(LEVEL_READERS))
 def test_every_level_reader_checks_the_level(reader):
     # filiform(5) has step 4; -1 once read as range(4, 0), 4 raised IndexError
     sc = catalog.filiform(5)
-    for p in (-1, sc.step):
-        with pytest.raises(ValueError, match=rf"^level {p} out of range for step 4$"):
+    levels, named = (-1, sc.step), ""
+    if reader in PENCIL_READERS:
+        levels, named = (0, -1, sc.step), r"1\.\.step-1 "
+    for p in levels:
+        with pytest.raises(ValueError, match=rf"^level {p} out of range {named}for step 4$"):
             LEVEL_READERS[reader](sc, p)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,9 +28,11 @@ from nilwalk.pencil import (
     LevelCertificate,
     MultiPoly,
     PolyRing,
+    _futile,
     _points,
     _proved_independent,
     _structured_candidates,
+    _symbolic_proof,
     alpha_ring,
     build_pencil,
     certify_greatness,
@@ -207,7 +210,7 @@ PENCIL_ALGEBRAS = list(catalog.default_corpus()) + DENOMINATOR_ALGEBRAS
 def test_integer_pencil_matches_fraction_reference(sc):
     n0 = sc.dims[0]
     for m in (1, 2, 3):
-        for p in range(sc.step):
+        for p in range(1, sc.step):
             # entries in -2..2, zeros and negatives among them
             kbar = [[(q + 2 * i) % 5 - 2 for i in range(m)] for q in range(p + 1)]
             ref = _fraction_level(sc, alpha_ring(m, n0), [[F(k) for k in r] for r in kbar])
@@ -292,20 +295,25 @@ def test_certify_m4_restores_greatness():
     assert cert.verify(sc=catalog.example_5_6())
 
 
+RANDOM_STEP3 = [
+    (f"random_step3(3,3,2,{s})", catalog.random_step3(3, 3, 2, seed=s)) for s in range(3)
+]
+
+
 def test_level_certificate_equals_its_quotients():
     """The certificate of g at level p is the top-level certificate of
     g / g^(p+1): the quotient's levels below p draw from the random
     stream exactly as g's do.  A change to how the stream is shared
     between levels would have to move this."""
     checked = 0
-    for label, sc in catalog.default_corpus():
+    for label, sc in catalog.default_corpus() + RANDOM_STEP3:
         for m in (2, 3):
             cert = certify_greatness(sc, m)
             for p in range(1, sc.step):
                 top = certify_greatness(quotient_algebra(sc, p), m).level(p)
                 assert top == cert.level(p), (label, m, p)
                 checked += 1
-    assert checked == 56
+    assert checked == 56 + 12
 
 
 def _change_basis(sc, rng):
@@ -336,9 +344,7 @@ def test_basis_change_keeps_every_verdict():
     """The same algebra in another adapted basis has the same verdict and
     proof kind at every level; witnesses and tries may differ."""
     rng = random.Random(14)
-    algebras = catalog.default_corpus() + [
-        (f"random_step3(3,3,2,{s})", catalog.random_step3(3, 3, 2, seed=s)) for s in range(3)
-    ]
+    algebras = catalog.default_corpus() + RANDOM_STEP3
     checked = 0
     for label, sc in algebras:
         moved = _change_basis(sc, rng)
@@ -371,6 +377,8 @@ def test_product_is_degenerate_where_a_factor_is():
     # example_5_6 is 2-degenerate at level 3 and filiform(5) is not
     mixed_pair = (("example_5_6", catalog.example_5_6()), PRODUCT_FACTORS[4])
     pairs = [*itertools.combinations(PRODUCT_FACTORS, 2), mixed_pair]
+    pairs += itertools.combinations(RANDOM_STEP3, 2)
+    pairs += [(r, PRODUCT_FACTORS[4]) for r in RANDOM_STEP3]
     checked = mixed = 0
     for (na, a), (nb, b) in pairs:
         sc = direct_product(a, b)
@@ -383,7 +391,7 @@ def test_product_is_degenerate_where_a_factor_is():
                 assert degenerate == ("degenerate" in factors), (na, nb, m, p)
                 checked += 1
                 mixed += degenerate and "witness" in factors
-    assert checked == 68 + 6 and mixed == 1
+    assert checked == 68 + 6 + 30 and mixed == 1
 
 
 def _uniform_kernel_case():
@@ -400,8 +408,10 @@ def test_certify_uniform_kernel():
     assert lvl.status == "degenerate"
     assert lvl.proof == "uniform_kernel"
     assert lvl.kernel == (F(1), F(0))
-    # its tries are dependent but not all-zero; the first random try builds
-    # the symbolic pencil, whose kernel settles the level before that draw
+    # its tries are dependent but not all-zero; level 3 is not futile
+    # (m = 2 < min(n0, 3)), so once the structured candidates fail the
+    # symbolic pencil is built, and its kernel settles the level before
+    # any random draw
     assert lvl.tried == len(_structured_candidates(2, 3))
     assert cert.verify(sc)
 
@@ -444,7 +454,7 @@ def test_full_rank_symbolic_pencil_resumes_random_search():
     assert lvl.witness == ((3, 0, 3), (0, -3, -1), (1, 0, 0), (3, 3, -1))
 
 
-def test_symbolic_build_waits_for_an_unproved_random_try(monkeypatch):
+def test_symbolic_build_only_where_a_proof_can_exist(monkeypatch):
     builds, streams = [], []
     build = pencil.build_pencil
 
@@ -458,10 +468,11 @@ def test_symbolic_build_waits_for_an_unproved_random_try(monkeypatch):
     )
     monkeypatch.setattr(pencil.random, "Random", Recorded)
     sc = catalog.example_5_6()
-    # at m=3 evaluation proves the first random try, so nothing is built
+    # at m=3 level 3 is futile (m >= min(n0, 3)), so nothing is built, and
+    # evaluation proves the first random try
     assert certify_greatness(sc, 3).level(3).tried == 5
-    # at m=2 the first random try proves nothing; the build settles level
-    # 3 and the draw is undone, leaving the seed-0 stream untouched
+    # at m=2 the structured candidates fail at level 3; the build settles
+    # it before any random draw, leaving the seed-0 stream untouched
     cert = certify_greatness(sc, 2)
     assert builds == [2]
     assert all(lv.tried <= len(_structured_candidates(2, lv.p)) for lv in cert.levels)
@@ -502,6 +513,8 @@ def test_tampered_certificate_fails_verify():
         replace(good, levels=good.levels[::-1]),
         replace(good, levels=()),
     ]
+    # m must be an int >= 1, read before any level is
+    tampered += [replace(good, m=m) for m in (2.0, "2", 0, True)]
     for bad in tampered:
         assert not bad.verify(sc), bad
     # witnesses verify cannot read fail instead of raising
@@ -516,7 +529,8 @@ def test_tampered_certificate_fails_verify():
 
 def test_certify_decides_every_try_by_evaluation(monkeypatch):
     # certify never takes a polynomial rank on a try, and builds at most
-    # one symbolic pencil per level, which it ranks at most once
+    # one symbolic pencil per level, only at a level that is not futile,
+    # and ranks it at most once
     algebras = list(catalog.default_corpus()) + [("uniform_kernel", _uniform_kernel_case()[0])]
     builds, ranks = [], []
     build, rank = pencil.build_pencil, pencil.linearly_independent
@@ -535,7 +549,59 @@ def test_certify_decides_every_try_by_evaluation(monkeypatch):
             ranks.clear()
             certify_greatness(sc, m)
             assert len(builds) == len(set(builds)), (label, m, builds)
+            assert not any(_futile(sc, m, p) for p in builds), (label, m, builds)
             assert len(ranks) <= len(builds), (label, m)
+
+
+# -- futile levels: no proof of degeneracy exists --------------------------------------
+
+
+def test_no_futile_level_has_a_symbolic_proof():
+    # Schur-Weyl and the absence of the sign character from Lie_n, n >= 3:
+    # at m >= min(n0, max(p, 2)) the pencil spans the whole level
+    algebras = catalog.default_corpus() + RANDOM_STEP3 + [
+        (f"random_step3(2,1,2,{s})", catalog.random_step3(2, 1, 2, seed=s)) for s in range(3)
+    ]
+    checked = 0
+    for label, sc in algebras:
+        for m in (1, 2, 3, 4):
+            for p in range(1, sc.step):
+                if _futile(sc, m, p):
+                    assert _symbolic_proof(p, build_pencil(sc, m, p), 0) is None, (label, m, p)
+                    checked += 1
+    assert checked == 118
+
+
+def test_certify_builds_nothing_at_futile_levels():
+    # filiform(11) has n0 = 2, so every level is futile at m = 4; the
+    # symbolic pencil there has 6 * 4^p terms, over a GB at p = 9
+    sc = catalog.filiform(11)
+    tracemalloc.start()
+    try:
+        cert = certify_greatness(sc, 4, budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(lv.status, lv.tried) for lv in cert.levels] == [("undetermined", 0)] * 9
+    assert peak < 2 * 2**20, peak
+
+
+def test_degenerate_claim_at_a_futile_level_fails_verify_unbuilt(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("verify built a pencil")
+
+    sc = catalog.heisenberg()
+    cert = certify_greatness(sc, 1)
+    monkeypatch.setattr(pencil, "build_pencil", no_build)
+    for lvl in (
+        LevelCertificate(p=1, status="degenerate", proof="identically_zero"),
+        LevelCertificate(p=1, status="degenerate", proof="uniform_kernel", kernel=(F(1),)),
+    ):
+        assert not GreatnessCertificate(m=2, step=2, levels=(lvl,)).verify(sc)
+    # heisenberg is 1-degenerate; the same proof at a huge m is refused at
+    # once, where building the pencil would take O(m^2) terms
+    assert cert.level(1).proof == "identically_zero"
+    assert not replace(cert, m=10**6).verify(sc)
 
 
 # -- witnesses proved by integer evaluation -------------------------------------------
