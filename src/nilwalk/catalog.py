@@ -114,17 +114,12 @@ def triangular(s: int) -> StructureConstants:
     names = [f"E{i}{j}" for i, j in pairs]
     brackets = {}
     for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if b <= a:
-                continue
-            out = {}
+        for b, (k, l) in enumerate(pairs[a + 1 :], a + 1):
+            # i < j and k < l, so at most one of the two deltas is 1
             if j == k:
-                out[index[(i, l)]] = out.get(index[(i, l)], 0) + 1
-            if l == i:
-                out[index[(k, j)]] = out.get(index[(k, j)], 0) - 1
-            out = {k2: v for k2, v in out.items() if v}
-            if out:
-                brackets[(a, b)] = out
+                brackets[(a, b)] = {index[(i, l)]: 1}
+            elif l == i:
+                brackets[(a, b)] = {index[(k, j)]: -1}
     dims = tuple(s - p for p in range(s))
     return _finish(len(pairs), brackets, names, s, dims)
 
@@ -189,14 +184,10 @@ def example_5_6() -> StructureConstants:
     idx = {n: i for i, n in enumerate(names)}
     brackets = {}
     for left, right, out in _EX56_RELATIONS:
-        i, j = idx[left], idx[right]
-        val = {idx[k]: v for k, v in out.items()}
-        if i > j:
-            i, j = j, i
-            val = {k: -v for k, v in val.items()}
-        if (i, j) in brackets:
+        key = idx[left], idx[right]
+        if key in brackets:  # a dict would keep only the last one
             raise AssertionError(f"duplicate relation for ({left}, {right})")
-        brackets[(i, j)] = val
+        brackets[key] = {idx[k]: v for k, v in out.items()}
     return _finish(15, brackets, names, 4, (3, 3, 8, 1))
 
 
@@ -260,19 +251,11 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
         brackets = {}
         for i in range(n0):
             for j in range(i + 1, n0):
-                out = {}
-                for y in range(n1):
-                    if c1[(i, j, y)]:
-                        out[n0 + y] = c1[(i, j, y)]
-                for z in range(n2):
-                    if c2[(i, j, z)]:
-                        out[n0 + n1 + z] = c2[(i, j, z)]
-                if out:
-                    brackets[(i, j)] = out
+                out = {n0 + y: c1[(i, j, y)] for y in range(n1)}
+                out.update({n0 + n1 + z: c2[(i, j, z)] for z in range(n2)})
+                brackets[(i, j)] = out
         for (i, y, z), t in upos.items():
-            if sol[t]:
-                key = (i, n0 + y)
-                brackets.setdefault(key, {})[n0 + n1 + z] = sol[t]
+            brackets.setdefault((i, n0 + y), {})[n0 + n1 + z] = sol[t]
         names = (
             [f"X{i + 1}" for i in range(n0)]
             + [f"Y{y + 1}" for y in range(n1)]

@@ -194,38 +194,41 @@ def _bracket_loop(table, dim, xs, ys):
 class StructureConstants:
     """Bracket table c_{ij}^k of a rational nilpotent Lie algebra.
 
-    brackets maps (i, j) with i < j (0-based) to {k: coefficient}; the
-    (j, i) entries are implied by antisymmetry.  Values are immutable
-    after construction by convention: no method mutates them.
+    brackets maps (i, j), i != j, 0-based, to {k: coefficient}, each
+    coefficient an int, a Fraction or a string such as "1/2".  A pair
+    comes in either order, (j, i) standing for -(i, j), and at most once.
+    This is the one normalizer: the table keeps each pair as i < j with
+    its nonzero coefficients sorted by k, and no empty row.  Values are
+    immutable after construction by convention: no method mutates them.
     """
 
     def __init__(self, dim, brackets, names=None):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
-        table = {}
-        for (i, j), out in brackets.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"bracket index out of range: ({i}, {j})")
-            if i == j:
-                raise ValueError(f"diagonal bracket entry ({i}, {i})")
-            if i > j:
-                i, j, out = j, i, {k: -_frac(v) for k, v in out.items()}
-            merged = table.setdefault((i, j), {})
-            for k, v in out.items():
-                if not (0 <= k < dim):
-                    raise ValueError(f"bracket output index out of range: {k}")
-                merged[k] = merged.get(k, Fraction(0)) + _frac(v)
-        self._table = {
-            ij: tuple(sorted((k, v) for k, v in out.items() if v))
-            for ij, out in table.items()
-        }
-        self._table = {ij: out for ij, out in self._table.items() if out}
         if names is None:
             names = [f"X{i + 1}" for i in range(dim)]
         if len(names) != dim:
             raise ValueError("names length must equal dim")
         self.names = tuple(str(n) for n in names)
+        self._table = {}
+        for (i, j), out in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"bracket index out of range: ({i}, {j})")
+            if i == j:
+                raise ValueError(f"diagonal bracket entry ({i}, {i})")
+            flip = i > j
+            if flip and (j, i) in brackets:
+                raise ValueError(f"[{self.names[j]}, {self.names[i]}] is given in both orders")
+            row = []
+            for k in sorted(out):
+                if not (0 <= k < dim):
+                    raise ValueError(f"bracket output index out of range: {k}")
+                v = _frac(out[k])
+                if v:
+                    row.append((k, -v if flip else v))
+            if row:
+                self._table[(j, i) if flip else (i, j)] = tuple(row)
         self._quotients = {}
 
     # -- bracket ---------------------------------------------------------
@@ -403,13 +406,11 @@ def quotient_algebra(sc: StructureConstants, p: int) -> StructureConstants:
     quotient = sc._quotients.get(p)
     if quotient is None:
         keep = sc.series.level_indices(p).stop
-        brackets = {}
-        for (i, j), pairs in sc._table.items():
-            if i >= keep or j >= keep:
-                continue
-            out = {k: v for k, v in pairs if k < keep}
-            if out:
-                brackets[(i, j)] = out
+        brackets = {
+            (i, j): {k: v for k, v in pairs if k < keep}
+            for (i, j), pairs in sc._table.items()
+            if j < keep  # i < j in the table
+        }
         quotient = StructureConstants(keep, brackets, names=sc.names[:keep])
         # the series of g / g^(p+1) is the image of g's first p+1 levels,
         # so it is read off rather than recomputed
@@ -470,7 +471,8 @@ def direct_product(a: StructureConstants, b: StructureConstants) -> StructureCon
 # {"dim": 3, "names": ["X1","X2","X3"], "levels": [[1,2],[3]],
 #  "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "num": 1, "den": 1}]}]}
 #
-# Indices are 1-based on the wire.  num/den round-trip bit exactly.
+# Indices are 1-based on the wire, and num/den round-trip bit exactly.
+# A pair appears once, in either order, and an output index once per pair.
 
 
 def algebra_to_json(sc: StructureConstants) -> dict:
@@ -537,7 +539,10 @@ def algebra_from_json(data: dict) -> StructureConstants:
             num, den = _json_int(o["num"], "num"), _json_int(o.get("den", 1), "den")
             if not den:
                 raise ValueError(f"den must be nonzero in bracket ({i + 1}, {j + 1})")
-            out[_json_index(o["k"], "k", dim)] = Fraction(num, den)
+            k = _json_index(o["k"], "k", dim)
+            if k in out:  # a dict would keep only the last entry
+                raise ValueError(f"duplicate output index {k + 1} in bracket ({i + 1}, {j + 1})")
+            out[k] = Fraction(num, den)
         if (i, j) in brackets:
             raise ValueError(f"duplicate bracket entry for ({i + 1}, {j + 1})")
         brackets[(i, j)] = out

@@ -483,7 +483,8 @@ class GreatnessCertificate:
     def verify(self, sc: StructureConstants):
         """Re-check every stored witness and kernel from scratch.
 
-        m must be an int >= 1, and the levels exactly p = 1..step-1 of sc.
+        m must be an int >= 1, step the int sc.step, and the levels
+        exactly the ints p = 1..step-1.
         A witness must be p+1 rows of m entries, proved by integer
         evaluation or else by the exact polynomial rank of its pencil, so
         the answer is exact either way.  A degenerate level must not be
@@ -492,9 +493,10 @@ class GreatnessCertificate:
         it.  Entries must be ints or Fractions.  A certificate it cannot
         read fails; verify never raises on it.
         """
-        if type(self.m) is not int or self.m < 1:
+        if type(self.m) is not int or self.m < 1 or type(self.step) is not int:
             return False
-        if self.step != sc.step or [lv.p for lv in self.levels] != list(range(1, sc.step)):
+        levels = [(int, p) for p in range(1, sc.step)]
+        if self.step != sc.step or [(type(lv.p), lv.p) for lv in self.levels] != levels:
             return False
         for lv in self.levels:
             m, p = self.m, lv.p

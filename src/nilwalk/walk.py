@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +47,7 @@ __all__ = [
     "correlation_sweep",
     "DecayFit",
     "tame_decay_fit",
+    "transfer_eigenvalue",
     "advance",
     "draw_generators",
 ]
@@ -144,11 +146,18 @@ def golden_heisenberg_config() -> WalkConfig:
 # -- characters ----------------------------------------------------------------
 
 
+def _frequency(v):
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"a frequency entry must be an integer, got {v!r}") from None
+
+
 class Character:
     """A(t) = exp(2 pi i lam.t) for an integer frequency tuple lam."""
 
     def __init__(self, lam):
-        self.lam = tuple(int(v) for v in lam)
+        self.lam = tuple(map(_frequency, lam))
         if not any(self.lam):
             raise ValueError("the trivial frequency is not an observable")
 

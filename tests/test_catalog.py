@@ -1,7 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
 from nilwalk import catalog, lie_core
-from nilwalk.lie_core import LieVector, check_jacobi
+from nilwalk.lie_core import (
+    LieVector,
+    algebra_to_json,
+    check_jacobi,
+    direct_product,
+    quotient_algebra,
+)
 
 
 def test_registry_builds_with_defaults():
@@ -136,3 +145,29 @@ def test_default_corpus_labels_unique():
     labels = [label for label, _ in catalog.default_corpus()]
     assert len(labels) == len(set(labels))
     assert len(labels) >= 10
+
+
+# SHA-256 over the canonical JSON of every table in _table_roster(), one
+# line each.  StructureConstants normalizes every table the constructors
+# hand it; moving that rule out of or into a constructor keeps the bytes.
+TABLES_SHA256 = "550bfca31713b350938584ff5e853fd30956d901231401a825d797e72a56f620"
+
+
+def _table_roster():
+    yield from (sc for _, sc in catalog.default_corpus())
+    yield from (catalog.triangular(s) for s in range(2, 8))
+    yield from (catalog.filiform(n) for n in range(3, 12))
+    yield from (catalog.quasi_abelian(h) for h in ((3, 2), (2, 2), (4, 2)))
+    for shape in ((2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3)):
+        yield from (catalog.random_step3(*shape, seed=seed) for seed in range(5))
+    for sc in (catalog.triangular(5), catalog.example_5_6()):
+        yield from (quotient_algebra(sc, p) for p in range(sc.step))
+    yield direct_product(catalog.heisenberg(), catalog.example_3_2())
+
+
+def test_pinned_tables_keep_their_bytes():
+    digest, count = hashlib.sha256(), 0
+    for sc in _table_roster():
+        digest.update(json.dumps(algebra_to_json(sc), sort_keys=True).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (70, TABLES_SHA256)

@@ -77,6 +77,12 @@ def test_numpy_backed_names_resolve_on_first_use():
         nilwalk.no_such_name
 
 
+def test_lazy_names_are_exported_by_their_modules():
+    for module, names in nilwalk._LAZY_NAMES.items():
+        exported = getattr(nilwalk, module).__all__
+        assert [name for name in names if name not in exported] == [], module
+
+
 # -- argument plumbing ---------------------------------------------------------
 
 
@@ -533,8 +539,15 @@ def test_malformed_exact_input_is_usage_error(capsys, tmp_path, doc, argv):
          "brackets[0].out[0] must be a JSON object"),
         ({"brackets": []}, "missing the field 'dim'"),
         ({"dim": 2, "brackets": [{"i": 1, "j": 2}]}, "missing the field 'out'"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "num": 1}]},
+                                 {"i": 2, "j": 1, "out": [{"k": 3, "num": 1}]}]},
+         "[X1, X2] is given in both orders"),
+        ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "num": 1},
+                                                          {"k": 3, "num": 2}]}]},
+         "duplicate output index 3 in bracket (1, 2)"),
     ],
-    ids=["brackets-int", "entry-int", "out-int", "out-entry-int", "no-dim", "no-out"],
+    ids=["brackets-int", "entry-int", "out-int", "out-entry-int", "no-dim", "no-out",
+         "pair-both-orders", "output-twice"],
 )
 def test_malformed_algebra_json_names_the_field(tmp_path, doc, field):
     # run as a program, so that a traceback on stderr would show

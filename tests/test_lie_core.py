@@ -1,4 +1,7 @@
+import itertools
 import json
+import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -118,6 +121,45 @@ def test_bracket_normalization_flips_sign():
     x, y = LieVector.basis(3, 0), LieVector.basis(3, 1)
     assert a.bracket(x, y) == b.bracket(x, y)
     assert a.bracket(x, y).coords == (F(0), F(0), F(-1))
+    # a pair in both orders is refused; the two entries used to be summed,
+    # here into an abelian algebra
+    with pytest.raises(ValueError, match=r"^\[X1, X2\] is given in both orders$"):
+        StructureConstants(3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+
+
+ORIENTATION_CORPUS = catalog.default_corpus() + [
+    ("random_step3(3,2,2,1)", catalog.random_step3(3, 2, 2, seed=1)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORIENTATION_CORPUS), st.integers(0, 10**6))
+def test_any_orientation_builds_the_oriented_table(entry, seed):
+    """Each pair in a random orientation, negated when flipped, written as
+    a Fraction or a string, with zero coefficients and some empty rows
+    added, builds the same table; one pair in both orders is refused."""
+    label, sc = entry
+    rng = random.Random(seed)
+    brackets = {}
+    for i, j in itertools.combinations(range(sc.dim), 2):
+        row = dict(sc._table.get((i, j), ()))
+        if not row and rng.random() < 0.7:
+            continue
+        if rng.random() < 0.5:
+            i, j, row = j, i, {k: -v for k, v in row.items()}
+        row = {k: rng.choice((v, str(v))) for k, v in row.items()}
+        for k in rng.sample(range(sc.dim), 2):
+            row.setdefault(k, rng.choice((0, F(0), "0")))
+        brackets[(i, j)] = row
+    rebuilt = StructureConstants(sc.dim, brackets, names=sc.names)
+    assert rebuilt == sc and algebra_to_json(rebuilt) == algebra_to_json(sc), label
+    i, j = sorted(rng.sample(range(sc.dim), 2))
+    twice = dict(brackets)
+    twice.setdefault((i, j), {})
+    twice.setdefault((j, i), {})
+    pair = re.escape(f"[{sc.names[i]}, {sc.names[j]}]")
+    with pytest.raises(ValueError, match=rf"^{pair} is given in both orders$"):
+        StructureConstants(sc.dim, twice, names=sc.names)
 
 
 def test_bracket_antisymmetry_and_bilinearity_heisenberg():
@@ -324,6 +366,16 @@ def test_json_rejects_malformed_names_and_indices():
         del owner[field]
         with pytest.raises(ValueError, match=rf"^{where} is missing the field '{field}'$"):
             algebra_from_json(bad)
+    # an output index given twice in one bracket: a dict kept the last entry
+    bad = json.loads(json.dumps(doc))
+    bad["brackets"][0]["out"].append({"k": 3, "num": 2})
+    with pytest.raises(ValueError, match=r"^duplicate output index 3 in bracket \(1, 2\)$"):
+        algebra_from_json(bad)
+    # a pair given in both orders: the two entries were summed
+    bad = json.loads(json.dumps(doc))
+    bad["brackets"].append({"i": 2, "j": 1, "out": [{"k": 3, "num": 1}]})
+    with pytest.raises(ValueError, match=r"^\[X1, X2\] is given in both orders$"):
+        algebra_from_json(bad)
 
 
 def test_json_verify_rejects_wrong_levels():

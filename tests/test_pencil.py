@@ -298,22 +298,39 @@ def test_certify_m4_restores_greatness():
 RANDOM_STEP3 = [
     (f"random_step3(3,3,2,{s})", catalog.random_step3(3, 3, 2, seed=s)) for s in range(3)
 ]
+# level dims (n0, n1, n2) random_step3 realizes for every seed tried
+STEP3_SHAPES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3)]
+random_step3s = st.builds(
+    lambda shape, seed: catalog.random_step3(*shape, seed=seed),
+    st.sampled_from(STEP3_SHAPES),
+    st.integers(0, 10**6),
+)
+
+
+def _check_quotients(sc, m):
+    """Levels compared: the certificate of g at level p is the top-level
+    certificate of g / g^(p+1)."""
+    cert = certify_greatness(sc, m)
+    for p in range(1, sc.step):
+        assert certify_greatness(quotient_algebra(sc, p), m).level(p) == cert.level(p), (m, p)
+    return sc.step - 1
 
 
 def test_level_certificate_equals_its_quotients():
-    """The certificate of g at level p is the top-level certificate of
-    g / g^(p+1): the quotient's levels below p draw from the random
-    stream exactly as g's do.  A change to how the stream is shared
-    between levels would have to move this."""
+    """The quotient's levels below p draw from the random stream exactly
+    as g's do.  A change to how the stream is shared between levels would
+    have to move this."""
     checked = 0
-    for label, sc in catalog.default_corpus() + RANDOM_STEP3:
+    for _, sc in catalog.default_corpus() + RANDOM_STEP3:
         for m in (2, 3):
-            cert = certify_greatness(sc, m)
-            for p in range(1, sc.step):
-                top = certify_greatness(quotient_algebra(sc, p), m).level(p)
-                assert top == cert.level(p), (label, m, p)
-                checked += 1
+            checked += _check_quotients(sc, m)
     assert checked == 56 + 12
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_step3s, st.sampled_from([1, 2, 3]))
+def test_level_certificate_equals_its_quotients_on_random_shapes(sc, m):
+    _check_quotients(sc, m)
 
 
 def _change_basis(sc, rng):
@@ -340,23 +357,32 @@ def _change_basis(sc, rng):
     return StructureConstants(n, brackets)
 
 
+def _check_basis_change(sc, rng):
+    """Levels compared: the same algebra in another adapted basis has the
+    same verdict and proof kind at every level, for m = 1, 2, 3;
+    witnesses and tries may differ."""
+    moved = _change_basis(sc, rng)
+    assert check_jacobi(moved).ok and moved.dims == sc.dims
+    for m in (1, 2, 3):
+        cert, moved_cert = certify_greatness(sc, m), certify_greatness(moved, m)
+        assert moved_cert.verify(moved), m
+        for p in range(1, sc.step):
+            a, b = cert.level(p), moved_cert.level(p)
+            assert (a.status, a.proof) == (b.status, b.proof), (m, p)
+    return 3 * (sc.step - 1)
+
+
 def test_basis_change_keeps_every_verdict():
-    """The same algebra in another adapted basis has the same verdict and
-    proof kind at every level; witnesses and tries may differ."""
     rng = random.Random(14)
     algebras = catalog.default_corpus() + RANDOM_STEP3
-    checked = 0
-    for label, sc in algebras:
-        moved = _change_basis(sc, rng)
-        assert check_jacobi(moved).ok and moved.dims == sc.dims, label
-        for m in (1, 2, 3):
-            cert, moved_cert = certify_greatness(sc, m), certify_greatness(moved, m)
-            assert moved_cert.verify(moved), (label, m)
-            for p in range(1, sc.step):
-                a, b = cert.level(p), moved_cert.level(p)
-                assert (a.status, a.proof) == (b.status, b.proof), (label, m, p)
-                checked += 1
+    checked = sum(_check_basis_change(sc, rng) for _, sc in algebras)
     assert checked == 102
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_step3s, st.integers(0, 10**6))
+def test_basis_change_keeps_every_verdict_on_random_shapes(sc, seed):
+    _check_basis_change(sc, random.Random(seed))
 
 
 PRODUCT_FACTORS = [
@@ -369,29 +395,42 @@ PRODUCT_FACTORS = [
 ]
 
 
+def _check_product(a, b, m):
+    """(levels compared, levels where the product is degenerate and a
+    factor has a witness): g x h is m-degenerate at level p iff a factor
+    with a level p is, since the product's level-p pencil joins the
+    factors' pencils, in disjoint variables, and the factors' sets of
+    good k are nonempty and Zariski-open, so they meet."""
+    sc = direct_product(a, b)
+    certs = [certify_greatness(f, m) for f in (sc, a, b)]
+    assert all(c.verdict != "undetermined" for c in certs), m
+    mixed = 0
+    for p in range(1, sc.step):
+        factors = [c.level(p).status for c, f in zip(certs[1:], (a, b)) if p < f.step]
+        degenerate = certs[0].level(p).status == "degenerate"
+        assert degenerate == ("degenerate" in factors), (m, p)
+        mixed += degenerate and "witness" in factors
+    return sc.step - 1, mixed
+
+
 def test_product_is_degenerate_where_a_factor_is():
-    """g x h is m-degenerate at level p iff a factor with a level p is:
-    the product's level-p pencil joins the factors' pencils, in disjoint
-    variables, and the factors' sets of good k are nonempty and
-    Zariski-open, so they meet."""
     # example_5_6 is 2-degenerate at level 3 and filiform(5) is not
     mixed_pair = (("example_5_6", catalog.example_5_6()), PRODUCT_FACTORS[4])
     pairs = [*itertools.combinations(PRODUCT_FACTORS, 2), mixed_pair]
     pairs += itertools.combinations(RANDOM_STEP3, 2)
     pairs += [(r, PRODUCT_FACTORS[4]) for r in RANDOM_STEP3]
     checked = mixed = 0
-    for (na, a), (nb, b) in pairs:
-        sc = direct_product(a, b)
+    for (_, a), (_, b) in pairs:
         for m in (1, 2):
-            certs = [certify_greatness(f, m) for f in (sc, a, b)]
-            assert all(c.verdict != "undetermined" for c in certs), (na, nb, m)
-            for p in range(1, sc.step):
-                factors = [c.level(p).status for c, f in zip(certs[1:], (a, b)) if p < f.step]
-                degenerate = certs[0].level(p).status == "degenerate"
-                assert degenerate == ("degenerate" in factors), (na, nb, m, p)
-                checked += 1
-                mixed += degenerate and "witness" in factors
+            levels, both = _check_product(a, b, m)
+            checked, mixed = checked + levels, mixed + both
     assert checked == 68 + 6 + 30 and mixed == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_step3s, random_step3s, st.sampled_from([1, 2]))
+def test_product_is_degenerate_where_a_factor_is_on_random_shapes(a, b, m):
+    _check_product(a, b, m)
 
 
 def _uniform_kernel_case():
@@ -513,10 +552,17 @@ def test_tampered_certificate_fails_verify():
         replace(good, levels=good.levels[::-1]),
         replace(good, levels=()),
     ]
-    # m must be an int >= 1, read before any level is
+    # m must be an int >= 1, read before any level is, and so must step
     tampered += [replace(good, m=m) for m in (2.0, "2", 0, True)]
+    tampered += [replace(good, step=step) for step in (4.0, True)]
     for bad in tampered:
         assert not bad.verify(sc), bad
+    # every p must be an int: a float p at a witness level and at a
+    # degenerate one reached the pencil builders, which raised TypeError
+    for alg, p in ((catalog.example_3_2(), 1), (catalog.example_5_6(), 3)):
+        cert = certify_greatness(alg, 2)
+        levels = tuple(replace(lv, p=float(p)) if lv.p == p else lv for lv in cert.levels)
+        assert cert.verify(alg) and not replace(cert, levels=levels).verify(alg), p
     # witnesses verify cannot read fail instead of raising
     sc = catalog.heisenberg()
     cert = certify_greatness(sc, 2)

@@ -96,6 +96,16 @@ def test_character_basics():
         Character((0, 0, 0))
 
 
+def test_character_frequencies_are_integers():
+    # int() truncated (0.5, 1.7, 0) to another observable, (0, 1, 0)
+    for lam, entry in (((0.5, 1.7, 0), "0.5"), ((1, "2", 0), "'2'"), ((1, F(2), 0), "Fraction")):
+        with pytest.raises(ValueError, match=f"a frequency entry must be an integer, got {entry}"):
+            Character(lam)
+    # numpy integers are integers
+    assert Character(np.array([2, -1, 0])).lam == (2, -1, 0)
+    assert all(type(v) is int for v in Character(np.array([2, -1, 0])).lam)
+
+
 def test_character_phase_is_summed_left_to_right():
     # bit for bit the elementwise sum: a BLAS product t @ lam can round
     # with or without FMA by kernel
