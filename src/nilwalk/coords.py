@@ -11,9 +11,10 @@ restricted, compiled to a table of its distinct monomials times a float
 coefficient matrix, so a batch step is one matrix product.
 
 Gamma denotes the integer-coordinate points.  It is a subgroup exactly
-when P is integer-valued on integer tuples; verify_lattice decides this
-exactly and raises LatticeError with an integer witness otherwise, since
-every reduction below assumes it.
+when g(e_j) g(e_i) lies in it for each pair i < j with [X_i, X_j] != 0;
+verify_lattice decides this with one exact product per such pair, no
+polynomial built, and raises LatticeError with an integer witness
+otherwise, since every reduction below assumes it.
 
 Reduction into the unit box runs level by level from the top.  Right
 multiplication by prod_{i in level l} exp(m_i X_i) shifts the level-l
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -90,34 +90,6 @@ class CompiledMap:
             vals[:, j] = term
         out = vals @ self.coef
         return out[0] if single else out
-
-
-def non_integral_point(poly):
-    """(k, poly(k)) for an integer point k where poly is not an integer, or None.
-
-    x^e = sum_j S(e, j) j! C(x, j), S the Stirling numbers of the second
-    kind, gives poly's coefficients c_k in the basis prod_i C(x_i, k_i);
-    poly maps Z^n into Z iff every c_k is an integer (Polya).  Take k of
-    lowest degree with c_k not an integer: every c_j with j < k is, so
-    poly(k) = c_k + sum_{j < k} c_j C(k, j) is not, and k is the witness.
-    """
-    deg = max((e for m in poly.terms for e in m), default=0)
-    falling = [[1]]  # falling[e][j] = S(e, j) j!
-    for e in range(1, deg + 1):
-        prev = falling[-1] + [0]
-        falling.append([0] + [j * (prev[j] + prev[j - 1]) for j in range(1, e + 1)])
-    coef = {}
-    for mono, c in poly.terms.items():
-        for k in product(*(range(1, e + 1) if e else (0,) for e in mono)):
-            w = c
-            for e, j in zip(mono, k):
-                w *= falling[e][j]
-            coef[k] = coef.get(k, 0) + w
-    bad = [k for k, c in coef.items() if c.denominator != 1]
-    if not bad:
-        return None
-    k = min(bad, key=lambda k: (sum(k), k))
-    return k, poly.restrict(dict(zip(poly.ring.names, k)), PolyRing(())).terms.get((), 0)
 
 
 class SecondKindSystem:
@@ -213,23 +185,35 @@ class SecondKindSystem:
     # -- lattice ---------------------------------------------------------------
 
     def verify_lattice(self):
-        """Prove that Gamma is a subgroup, or raise LatticeError naming the
-        first coordinate of P that is not integer-valued and an integer
-        pair (t, s) where it is not an integer.
+        """Prove that Gamma is a subgroup, or raise LatticeError naming an
+        integer pair (t, s) and a coordinate of g(t) g(s) that is not an
+        integer.
 
-        Closure under products suffices: inverses follow.  For integer t,
-        g(t)^-1 = exp(-t_{n-1} X_{n-1}) ... exp(-t_0 X_0) is the product of
-        the integer points g(-t_i e_i) in reverse order, so if P maps
-        integer pairs to integer points, so does t -> sk(g(t)^-1).
+        Write x_i = g(e_i).  Gamma is a subgroup iff x_j x_i is in Gamma
+        for every pair i < j with [X_i, X_j] != 0; a commuting pair gives
+        g(e_i + e_j).  Each tail span(X_k, ...) is an ideal, so Gamma_k,
+        the points of Gamma with t_0..t_{k-1} = 0, is x_k^Z Gamma_{k+1}.
+        Downward on k: if Gamma_{k+1} is a group and conjugation by x_k
+        sends each x_j (j > k) into it, conjugation maps Gamma_{k+1} into
+        itself, as the identity on each Gamma_l / Gamma_{l+1} = Z
+        ([X_k, X_l] lies past index l), so onto; Gamma_k is then closed
+        under products and inverses.  The converse is immediate.
+        x_j x_i = x_i c with log c = exp(-ad X_i) X_j, and
+        x_i g(u) = g(e_i + u) when u is zero up to index i, so x_j x_i and
+        c agree past index i.
         """
         n = self.dim
-        for i, poly in enumerate(self._law):
-            bad = non_integral_point(poly)
-            if bad is not None:
-                k, value = bad
-                t, s = k[:n], k[n:]
-                msg = f"product of {t} and {s} is not integral: coordinate {i} is {value}"
-                raise LatticeError(msg, i, (t, s))
+        for i, j in sorted(self.sc.integer_table[1]):
+            xi, xj = LieVector.basis(n, i), LieVector.basis(n, j)
+            term = log_c = xj
+            for m in range(1, self.series.step):
+                term = self.sc.bracket(term, xi) * Fraction(1, m)
+                log_c = log_c + term
+            for k, value in enumerate(self.sk_from_log(log_c)):
+                if value.denominator != 1:
+                    t, s = xj.nums, xi.nums
+                    msg = f"product of {t} and {s} is not integral: coordinate {k} is {value}"
+                    raise LatticeError(msg, k, (t, s))
 
     # -- reduction ---------------------------------------------------------------
 

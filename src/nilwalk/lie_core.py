@@ -179,6 +179,12 @@ class CentralSeries:
             raise ValueError(f"level {p} out of range for step {self.step}")
         return range(self.starts[p], self.starts[p] + self.dims[p])
 
+    def check_bracket_level(self, p):
+        """Refuse p unless it is a level reached by a bracket, 1..step-1;
+        the pencil and the pair search read only those."""
+        if not 1 <= p < self.step:
+            raise ValueError(f"level {p} out of range 1..step-1 for step {self.step}")
+
 
 def _bracket_loop(table, dim, xs, ys):
     out = [0] * dim

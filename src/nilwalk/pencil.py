@@ -314,12 +314,6 @@ def _nested_level(sc: StructureConstants, ring: PolyRing, weights):
     return out
 
 
-def _check_level(sc: StructureConstants, p: int):
-    # the pencil is defined on levels 1..step-1; level 0 has no bracket
-    if not 1 <= p < sc.step:
-        raise ValueError(f"level {p} out of range 1..step-1 for step {sc.step}")
-
-
 def _futile(sc: StructureConstants, m: int, p: int):
     """True when level p has no symbolic proof of degeneracy for m generic
     vectors, m >= min(n0, max(p, 2)); the module docstring has the proof."""
@@ -331,7 +325,7 @@ def build_pencil(sc: StructureConstants, m: int, p: int):
     pencil_ring(m, n0, p), with both the a and k blocks kept as variables."""
     if m < 1:
         raise ValueError("m must be positive")
-    _check_level(sc, p)
+    sc.series.check_bracket_level(p)
     ring = pencil_ring(m, sc.dims[0], p)
     kvars = [[ring.var(f"k{q}_{i + 1}") for i in range(m)] for q in range(p + 1)]
     return _nested_level(sc, ring, kvars)
@@ -355,7 +349,7 @@ def pencil_at_k(sc: StructureConstants, m: int, p: int, kbar):
     build_pencil(sc, m, p), but one nested bracket of numeric
     combinations.
     """
-    _check_level(sc, p)
+    sc.series.check_bracket_level(p)
     kbar = [tuple(row) for row in kbar]
     if len(kbar) != p + 1 or any(len(r) != m for r in kbar):
         raise ValueError(f"k must be {p + 1} rows of length {m}")
@@ -483,8 +477,8 @@ class GreatnessCertificate:
     def verify(self, sc: StructureConstants):
         """Re-check every stored witness and kernel from scratch.
 
-        m must be an int >= 1, step the int sc.step, and the levels
-        exactly the ints p = 1..step-1.
+        m must be an int >= 1, step the int sc.step, and the levels a
+        tuple or list of LevelCertificates at exactly the ints p = 1..step-1.
         A witness must be p+1 rows of m entries, proved by integer
         evaluation or else by the exact polynomial rank of its pencil, so
         the answer is exact either way.  A degenerate level must not be
@@ -494,6 +488,10 @@ class GreatnessCertificate:
         read fails; verify never raises on it.
         """
         if type(self.m) is not int or self.m < 1 or type(self.step) is not int:
+            return False
+        if not isinstance(self.levels, (tuple, list)) or not all(
+            isinstance(lv, LevelCertificate) for lv in self.levels
+        ):
             return False
         levels = [(int, p) for p in range(1, sc.step)]
         if self.step != sc.step or [(type(lv.p), lv.p) for lv in self.levels] != levels:

@@ -403,8 +403,7 @@ def nice_pair_search(
     diophantine_estimate caches.  Without q_max, the scan uses
     default_q_max(d), a box of at most 201^3 points up to d = 14.
     """
-    if not (1 <= p < sc.step):
-        raise ValueError(f"level {p} out of range 1..step-1 for step {sc.step}")
+    sc.series.check_bracket_level(p)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     q_sc, gens, cols, d = _in_quotient(sc, p, generators)

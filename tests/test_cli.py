@@ -446,6 +446,16 @@ def test_coordinate_too_large_for_a_float_is_usage_error(capsys, argv, message):
     assert err.startswith(f"error: {message}") and "too large for a float" in err
 
 
+def test_walk_on_an_open_lattice_is_refused(capsys):
+    # example_3_2's integer points are not closed: x_1 x_0 has t_3 = -1/2
+    code, out, err = run(
+        capsys, "correlate", "--algebra", "example_3_2", "--generator", "0,0,0,0,0",
+        "--character", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: product of ") and "is not integral" in err
+
+
 def test_gap_takes_a_coordinate_too_large_for_a_float(capsys):
     # gap works on exact phases: 10^400 X1 is an integer translation
     code, out, _ = run(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from nilwalk import catalog
 from nilwalk.bch import bch_product
-from nilwalk.coords import CompiledMap, LatticeError, SecondKindSystem, non_integral_point
-from nilwalk.lie_core import LieVector, rescale_levels
+from nilwalk.coords import CompiledMap, LatticeError, SecondKindSystem
+from nilwalk.lie_core import LieVector, direct_product, rescale_levels
 from nilwalk.pencil import PolyRing
 
 F = Fraction
@@ -172,13 +173,6 @@ def test_lattice_error_witness_is_not_integral():
         assert str(err).endswith(f"coordinate {err.coordinate} is {out[err.coordinate]}"), name
 
 
-def test_binomial_basis_decides_integer_values():
-    ring = PolyRing(["t"])
-    t = ring.var("t")
-    assert non_integral_point(t * (t - 1) * F(1, 2)) is None
-    assert non_integral_point(t * t * F(1, 2)) == ((1,), F(1, 2))
-
-
 def test_factorial_dilation_closes_lattice():
     # dilating level l by l! clears every BCH denominator seen here
     SecondKindSystem(
@@ -187,6 +181,89 @@ def test_factorial_dilation_closes_lattice():
     SecondKindSystem(
         rescale_levels(catalog.filiform(5), [1, 1, 2, 6])
     ).verify_lattice()
+
+
+def _verdict_roster():
+    """(name, algebra) pairs: the corpus, triangular(2..6), filiform(3..7),
+    three quasi_abelian, random_step3 over six shapes at seeds 0..4 and
+    two products; each of step >= 3 also under its factorial level
+    dilation and under one random rational one."""
+    base = list(catalog.default_corpus())
+    base += [(f"triangular({s})", catalog.triangular(s)) for s in range(2, 7)]
+    base += [(f"filiform({n})", catalog.filiform(n)) for n in range(3, 8)]
+    base += [(f"quasi_abelian{h}", catalog.quasi_abelian(h)) for h in ((3, 2), (2, 2), (4, 2))]
+    for shape in ((2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3)):
+        base += [(f"random{shape}#{s}", catalog.random_step3(*shape, seed=s)) for s in range(5)]
+    heis = catalog.heisenberg()
+    base.append(("heisenberg x example_3_2", direct_product(heis, catalog.example_3_2())))
+    base.append(("heisenberg x filiform(5)", direct_product(heis, catalog.filiform(5))))
+    rng = random.Random(40)
+    for name, sc in base:
+        yield name, sc
+        if sc.step >= 3:
+            yield f"{name}!", rescale_levels(sc, [math.factorial(p) for p in range(sc.step)])
+            factors = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(sc.step)]
+            yield f"{name}~{factors}", rescale_levels(sc, factors)
+
+
+# 1 where _verdict_roster()'s algebra has a closed lattice, in roster order;
+# the symbolic group law's Polya test gave these same verdicts
+VERDICTS = (
+    "110100100101110110010010010010111011011011010100100100100101"
+    "010110110110010010010010011010010011110110010000010010110000"
+    "000000000010000000000000110000000010010"
+)
+
+
+def test_lattice_verdict_roster_is_pinned():
+    names, got = [], ""
+    for name, sc in _verdict_roster():
+        names.append(name)
+        sys = SecondKindSystem(sc)
+        try:
+            sys.verify_lattice()
+            got += "1"
+        except LatticeError as err:
+            t, s = err.points
+            out = sys.sk_from_log(bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(s)))
+            assert out[err.coordinate].denominator != 1, name
+            got += "0"
+    assert got == VERDICTS, [n for n, a, b in zip(names, got, VERDICTS) if a != b]
+
+
+# random rational dilations rarely close the lattice; integer ones with a
+# multiple of 3! on level 2 close it about a third of the time
+LEVEL_FACTORS = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12), st.integers(1, 6).map(lambda c: 6 * c)),
+    st.lists(st.fractions(F(1, 2), 12, max_denominator=3), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 1, 1), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3)]),
+    st.integers(0, 9),
+    LEVEL_FACTORS,
+    st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8), min_size=3, max_size=3),
+)
+def test_lattice_verdict_matches_exact_products(shape, seed, factors, points):
+    # on a lattice, products of basis points and of random integer points
+    # are integral; otherwise the named pair's product is not
+    sc = rescale_levels(catalog.random_step3(*shape, seed=seed), factors)
+    sys = SecondKindSystem(sc)
+
+    def product(t, s):
+        return sys.sk_from_log(bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(s)))
+
+    try:
+        sys.verify_lattice()
+    except LatticeError as err:
+        assert product(*err.points)[err.coordinate].denominator != 1
+        return
+    basis = [LieVector.basis(sc.dim, i).nums for i in range(sc.dim)]
+    t, s, u = (p[: sc.dim] for p in points)
+    products = [product(a, b) for a in basis for b in basis] + [product(t, product(s, u))]
+    assert all(v.denominator == 1 for p in products for v in p)
 
 
 # -- reduction ---------------------------------------------------------------------

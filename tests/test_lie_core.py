@@ -27,6 +27,7 @@ from nilwalk.lie_core import (
     rescale_levels,
 )
 from nilwalk.pencil import build_pencil, pencil_at_k
+from nilwalk.words import nice_pair_search
 
 F = Fraction
 
@@ -261,11 +262,14 @@ LEVEL_READERS = {
     "build_pencil": lambda sc, p: build_pencil(sc, 2, p),
     "pencil_at_k": lambda sc, p: pencil_at_k(sc, 2, p, [(1, 0)] * (p + 1)),
     "reduction_map": lambda sc, p: SecondKindSystem(sc).reduction_map(p),
+    "nice_pair_search": lambda sc, p: nice_pair_search(
+        sc, [LieVector.basis(sc.dim, 0), LieVector.basis(sc.dim, 1)], p
+    ),
 }
 
 
-# the pencil has no level 0, and its readers name the range they take
-PENCIL_READERS = {"build_pencil", "pencil_at_k"}
+# the pencil and the pair search have no level 0, and name the range they take
+PENCIL_READERS = {"build_pencil", "pencil_at_k", "nice_pair_search"}
 
 
 @pytest.mark.parametrize("reader", sorted(LEVEL_READERS))

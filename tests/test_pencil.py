@@ -551,6 +551,11 @@ def test_tampered_certificate_fails_verify():
         replace(good, levels=good.levels[:-1]),
         replace(good, levels=good.levels[::-1]),
         replace(good, levels=()),
+        # levels that are not a sequence of LevelCertificates raised
+        # TypeError or AttributeError
+        replace(good, levels=None),
+        replace(good, levels=5),
+        replace(good, levels=(1,)),
     ]
     # m must be an int >= 1, read before any level is, and so must step
     tampered += [replace(good, m=m) for m in (2.0, "2", 0, True)]

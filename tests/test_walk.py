@@ -78,6 +78,13 @@ def test_config_requires_closed_lattice():
         walk_config(sc, [LieVector.zero(5)], [F(1)])
 
 
+def test_config_builds_no_symbolic_group_law():
+    # the lattice proof takes one exact product per nonzero bracket
+    sc = catalog.triangular(4)
+    cfg = walk_config(sc, [LieVector.zero(sc.dim)], [F(1)])
+    assert "_law" not in cfg.system.__dict__
+
+
 def test_golden_config_is_exact():
     cfg = golden_heisenberg_config()
     assert cfg.probs == (F(1, 2), F(1, 2))
