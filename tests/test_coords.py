@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -307,3 +308,49 @@ def test_reduce_batch_deep_algebra_consistent():
         want, _ = sys.reduce_exact(t)
         got = sys.reduce_batch(np.array([[float(v) for v in t]]))[0]
         assert np.allclose(got, [float(v) for v in want], atol=1e-10)
+
+
+def _closed_lattices():
+    for name, sc in _verdict_roster():
+        try:
+            SecondKindSystem(sc).verify_lattice()
+        except LatticeError:
+            continue
+        yield name, sc
+
+
+def test_reduce_exact_is_right_translation_on_every_lattice():
+    # red in [0, 1)^n, gamma integral and g(t) g(gamma) = g(red), exactly
+    rng = random.Random(41)
+    for name, sc in _closed_lattices():
+        sys = SecondKindSystem(sc)
+        for _ in range(2):
+            t = _rational_point(rng, sc.dim)
+            red, gamma = sys.reduce_exact(t)
+            assert all(0 <= v < 1 for v in red), name
+            assert all(type(g) is int for g in gamma), name
+            lhs = bch_product(sc, sys.log_from_sk(t), sys.log_from_sk(gamma))
+            assert lhs == sys.log_from_sk(red), name
+
+
+# SHA-256 of conversion and reduction outputs and LatticeError texts over
+# _verdict_roster(), at seeded rational points
+CONVERSIONS_SHA256 = "83ef82097c5979a115989c76260546b7babc1e82b35cefea0931795f13e92154"
+
+
+def test_conversions_and_reduction_are_pinned():
+    h = hashlib.sha256()
+    rng = random.Random(42)
+    for name, sc in _verdict_roster():
+        sys = SecondKindSystem(sc)
+        x = sys.log_from_sk(_rational_point(rng, sc.dim))
+        t = sys.sk_from_log(LieVector(_rational_point(rng, sc.dim)))
+        h.update(f"{name}|{x.nums}/{x.den}|{t}|".encode())
+        try:
+            sys.verify_lattice()
+        except LatticeError as err:
+            h.update(f"{err}|{err.coordinate}|{err.points}\n".encode())
+            continue
+        red, gamma = sys.reduce_exact(_rational_point(rng, sc.dim))
+        h.update(f"{red}|{gamma}\n".encode())
+    assert h.hexdigest() == CONVERSIONS_SHA256
