@@ -27,12 +27,12 @@ plan is a flat list of the Lyndon brackets the terms need, shortest
 first, and one term per word with c_w != 0.  The evaluator walks the
 plan once, takes no bracket on an all-zero one (so no longer word built
 on it is either) and adds each term straight into the result with one
-weight per length.  bch_product, the exact group law, runs it on the
+weight per length.  bch_product, the one exact group law, runs it on the
 integer numerators of two LieVectors with integer weights that put every
 length over one denominator M, and builds no Fraction; a zero argument
-returns the other one unchanged.  bch_coords runs it on any scalars
-(Fractions, or the polynomials of coords' group law) with the Fraction
-weights 1 / (C_L D^(L-1)), so nothing is scaled up to M and back.
+returns the other one unchanged.  bch_coords serves only the polynomial
+group law of coords: it runs the evaluator on polynomial coordinates
+with Fraction weights 1 / (C_L D^(L-1)), never scaled up to M and back.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def _bch_over(sc: StructureConstants, xs, ys, base, weights):
 
 
 def bch_coords(sc: StructureConstants, xs, ys):
-    """Dynkin series on raw coordinate sequences (generic scalars); the
-    weights 1 / (C_L D^(L-1)) are Fractions, so nothing is scaled back."""
+    """The series on raw coordinate sequences, for coords' polynomial law;
+    the weights 1 / (C_L D^(L-1)) are Fractions, so nothing is scaled back."""
     D = sc.integer_table[0]
     scale = _series_plan(sc.step)[2]
     return _bch_over(sc, xs, ys, 1, {L: Fraction(1, C * D ** (L - 1)) for L, C in scale.items()})

@@ -1,18 +1,19 @@
 """Coordinates of the second kind and reduction modulo the integer lattice.
 
 A point of the simply connected group is written g(t) = prod_i exp(t_i X_i)
-over the adapted basis, in basis order.  Conversion between log and
-these coordinates is a triangular sweep: peeling exp(-t_i X_i) off the
-left only disturbs strictly deeper coordinates, so each t_i can be read
-straight off.  The same sweep run over a polynomial ring yields, once
-per algebra, the group law P(t, s) = sk(g(t) g(s)).
+over the adapted basis, in basis order.  Every exact product in G is
+bch_product.  Conversion between log and these coordinates is a
+triangular sweep of such products: peeling exp(-t_i X_i) off the left
+only disturbs strictly deeper coordinates, so each t_i can be read
+straight off.  The float maps rest on the group law P(t, s) =
+sk(g(t) g(s)), built once per algebra over a polynomial ring.
 A translation (t fixed) or level reduction (s zero off the level) is P
 restricted, compiled to a table of its distinct monomials times a float
 coefficient matrix, so a batch step is one matrix product.
 
 Gamma denotes the integer-coordinate points.  It is a subgroup exactly
 when g(e_j) g(e_i) lies in it for each pair i < j with [X_i, X_j] != 0;
-verify_lattice decides this with one exact product per such pair, no
+verify_lattice decides this from one exact conjugate per such pair, no
 polynomial built, and raises LatticeError with an integer witness
 otherwise, since every reduction below assumes it.
 
@@ -104,53 +105,57 @@ class SecondKindSystem:
 
     # -- exact conversions ---------------------------------------------------
 
-    def _fold_log(self, scalars, zero):
-        """Coordinates of log prod_i exp(scalars[i] X_i), generic scalars."""
-        acc = None
-        for i, s in enumerate(scalars):
-            if not s:
-                continue
-            term = [zero] * self.dim
-            term[i] = s
-            acc = term if acc is None else bch_coords(self.sc, acc, term)
-        return [zero] * self.dim if acc is None else acc
-
-    def _peel(self, coords, zero):
-        """Invert _fold_log: read t_i and strip exp(-t_i X_i) from the left."""
-        y = list(coords)
-        t = []
-        for i in range(self.dim):
-            ti = y[i]
-            t.append(ti)
-            if ti:
-                neg = [zero] * self.dim
-                neg[i] = -ti
-                y = bch_coords(self.sc, neg, y)
-        if any(y):
-            raise AssertionError("peel left a nonzero remainder")
-        return t
-
     def log_from_sk(self, t) -> LieVector:
         vals = [Fraction(x) for x in t]
         if len(vals) != self.dim:
-            raise ValueError("coordinate tuple has wrong length")
-        return LieVector(self._fold_log(vals, Fraction(0)))
+            raise ValueError(f"expected {self.dim} coordinates, got {len(vals)}")
+        x = LieVector.zero(self.dim)
+        for i, v in enumerate(vals):  # a zero factor returns x itself
+            x = bch_product(self.sc, x, LieVector.basis(self.dim, i) * v)
+        return x
 
     def sk_from_log(self, x: LieVector):
-        return tuple(self._peel(list(x.coords), Fraction(0)))
+        """Read t_i and strip exp(-t_i X_i) from the left, in basis order."""
+        if x.dim != self.dim:
+            raise ValueError(f"expected a vector of dimension {self.dim}, got {x.dim}")
+        t = []
+        for i in range(self.dim):
+            ti = Fraction(x.nums[i], x.den)
+            t.append(ti)
+            x = bch_product(self.sc, LieVector.basis(self.dim, i) * -ti, x)
+        if any(x.nums):
+            raise AssertionError("peel left a nonzero remainder")
+        return tuple(t)
 
     # -- the group law and the maps compiled from it --------------------------
 
     @cached_property
     def _law(self):
         """P(t, s) = sk(g(t) g(s)), polynomials over the variables
-        t0..t{n-1}, s0..s{n-1}."""
-        n = self.dim
-        ring = PolyRing([f"t{i}" for i in range(n)] + [f"s{i}" for i in range(n)])
+        t0..t{n-1}, s0..s{n-1}: log g(t) and log g(s) folded from their
+        factors, multiplied, and peeled as sk_from_log peels."""
+        n, sc = self.dim, self.sc
+        ring = PolyRing([f"{p}{i}" for p in "ts" for i in range(n)])
         zero = ring.zero()
-        x = self._fold_log([ring.var(f"t{i}") for i in range(n)], zero)
-        y = self._fold_log([ring.var(f"s{i}") for i in range(n)], zero)
-        return self._peel(bch_coords(self.sc, x, y), zero)
+
+        def axis(i, value):
+            return [value if k == i else zero for k in range(n)]
+
+        def fold(p):
+            acc = axis(0, ring.var(f"{p}0"))
+            for i in range(1, n):
+                acc = bch_coords(sc, acc, axis(i, ring.var(f"{p}{i}")))
+            return acc
+
+        y = bch_coords(sc, fold("t"), fold("s"))
+        law = []
+        for i in range(n):
+            law.append(y[i])
+            if y[i]:
+                y = bch_coords(sc, axis(i, -y[i]), y)
+        if any(y):
+            raise AssertionError("peel left a nonzero remainder")
+        return law
 
     def _restricted_law(self, values, keep):
         """P with the variables in `values` fixed, as a map of `keep`."""
@@ -198,17 +203,14 @@ class SecondKindSystem:
         itself, as the identity on each Gamma_l / Gamma_{l+1} = Z
         ([X_k, X_l] lies past index l), so onto; Gamma_k is then closed
         under products and inverses.  The converse is immediate.
-        x_j x_i = x_i c with log c = exp(-ad X_i) X_j, and
+        x_j x_i = x_i c with c = x_i^-1 x_j x_i, and
         x_i g(u) = g(e_i + u) when u is zero up to index i, so x_j x_i and
         c agree past index i.
         """
         n = self.dim
         for i, j in sorted(self.sc.integer_table[1]):
             xi, xj = LieVector.basis(n, i), LieVector.basis(n, j)
-            term = log_c = xj
-            for m in range(1, self.series.step):
-                term = self.sc.bracket(term, xi) * Fraction(1, m)
-                log_c = log_c + term
+            log_c = bch_product(self.sc, bch_product(self.sc, -xi, xj), xi)
             for k, value in enumerate(self.sk_from_log(log_c)):
                 if value.denominator != 1:
                     t, s = xj.nums, xi.nums
@@ -222,24 +224,18 @@ class SecondKindSystem:
 
         gamma is the integer tuple with g(reduced) = g(t) g(gamma).
         """
-        x = self.log_from_sk(t)
-        glog = LieVector.zero(self.dim)
+        x = x0 = self.log_from_sk(t)
         for level in range(self.series.step):
-            cur = self._peel(list(x.coords), Fraction(0))
+            cur = self.sk_from_log(x)
             idx = self.series.level_indices(level)
-            shift = [Fraction(-math.floor(cur[i])) for i in idx]
-            if not any(shift):
-                continue
-            s = [Fraction(0)] * self.dim
-            for j, i in enumerate(idx):
-                s[i] = shift[j]
-            phi = self.log_from_sk(s)
-            x = bch_product(self.sc, x, phi)
-            glog = bch_product(self.sc, glog, phi)
+            shift = [-math.floor(v) if i in idx else 0 for i, v in enumerate(cur)]
+            if any(shift):
+                x = bch_product(self.sc, x, self.log_from_sk(shift))
         red = self.sk_from_log(x)
         if not all(0 <= v < 1 for v in red):
             raise AssertionError(f"reduction left the unit box: {red}")
-        gamma = self.sk_from_log(glog)
+        # g(gamma) = g(t)^-1 g(red)
+        gamma = self.sk_from_log(bch_product(self.sc, -x0, x))
         if any(v.denominator != 1 for v in gamma):
             raise LatticeError(f"reduction used a non-integral translate: {gamma}")
         return red, tuple(int(v) for v in gamma)

@@ -146,18 +146,18 @@ def golden_heisenberg_config() -> WalkConfig:
 # -- characters ----------------------------------------------------------------
 
 
-def _frequency(v):
+def _integer(v, what="a frequency entry"):
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"a frequency entry must be an integer, got {v!r}") from None
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
 
 
 class Character:
     """A(t) = exp(2 pi i lam.t) for an integer frequency tuple lam."""
 
     def __init__(self, lam):
-        self.lam = tuple(map(_frequency, lam))
+        self.lam = tuple(map(_integer, lam))
         if not any(self.lam):
             raise ValueError("the trivial frequency is not an observable")
 
@@ -373,7 +373,7 @@ def correlation_sweep(config: WalkConfig, characters, checkpoints, samples, seed
         raise ValueError(f"samples must be at least 1, got {samples}")
     chars = list(characters)
     torus_chars = torus_characters(config, chars)
-    checkpoints = sorted(set(int(n) for n in checkpoints))
+    checkpoints = sorted({_integer(n, "a walk time") for n in checkpoints})
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive walk times")
     results = run_chunks(_correlation_chunk, config, samples, seed, torus_chars, checkpoints)
@@ -413,7 +413,10 @@ def tame_decay_fit(
     torus and fitted with a log-log slope.  Resonant frequencies would
     freeze the sup at a constant, so their presence is an error here.
     """
-    times = sorted(set(int(n) for n in times))
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"decay fit needs a finite r, got {r}")
+    times = sorted({_integer(n, "a walk time") for n in times})
     if len(times) < 3:
         raise ValueError("need at least three times for a slope")
     if times[0] < 1:
@@ -438,7 +441,7 @@ def tame_decay_fit(
         arg += mesh[k] * lams[:, k]
     phases = np.exp(2j * np.pi * arg)
     p_re, p_im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
-    w = np.asarray([e.norm ** (-float(r)) for e in entries])
+    w = np.asarray([e.norm ** -r for e in entries])
     c = np.asarray([e.eigenvalue for e in entries])
     sups = []
     for n in times:
@@ -455,7 +458,7 @@ def tame_decay_fit(
     slope = math.fsum(a * (y - ybar) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
     intercept = ybar - slope * xbar
     return DecayFit(
-        r=float(r),
+        r=r,
         radius=radius,
         times=tuple(times),
         sups=tuple(sups),

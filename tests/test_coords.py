@@ -39,6 +39,17 @@ def test_round_trip_deep():
         assert sys.log_from_sk(sys.sk_from_log(x)) == x
 
 
+def test_conversions_refuse_a_wrong_dimension():
+    # a 2-vector on heisenberg raised IndexError from inside the peel
+    sys = SecondKindSystem(catalog.heisenberg())
+    with pytest.raises(ValueError, match="expected a vector of dimension 3, got 2"):
+        sys.sk_from_log(LieVector([1, 2]))
+    with pytest.raises(ValueError, match="expected a vector of dimension 3, got 4"):
+        sys.translation_map(LieVector([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        sys.log_from_sk([1, 2])
+
+
 def test_heisenberg_log_coordinates():
     # g(t) = exp(t1 X1) exp(t2 X2) exp(t3 X3) has log t1 X1 + t2 X2 + (t3 + t1 t2/2) X3
     sys = SecondKindSystem(catalog.heisenberg())

@@ -448,6 +448,16 @@ def test_correlation_needs_positive_times():
         correlation_sweep(cfg, [Character((1,))], [0, 4], samples=100, seed=0)
 
 
+@pytest.mark.parametrize("time, shown", [(2.5, "2.5"), (F(4), "Fraction"), ("4", "'4'")])
+def test_correlation_times_are_integers(time, shown):
+    # int() truncated 2.5 to a sweep point at N = 2
+    cfg = golden_heisenberg_config()
+    with pytest.raises(ValueError, match=f"a walk time must be an integer, got {shown}"):
+        correlation_sweep(cfg, [Character((1, 0, 0))], [time], samples=10, seed=0)
+    sweep = correlation_sweep(cfg, [Character((1, 0, 0))], np.array([2, 4]), samples=10, seed=0)
+    assert [pt.N for pt in sweep[Character((1, 0, 0))]] == [2, 4]
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_correlation_needs_positive_samples(samples):
     cfg = circle_config(0, F(PHI))
@@ -519,6 +529,22 @@ def test_decay_needs_three_times():
     cfg = circle_config(0, F(PHI))
     with pytest.raises(ValueError):
         tame_decay_fit(cfg, r=2.0, radius=4, times=[2, 4], grid=64)
+
+
+@pytest.mark.parametrize("times, shown", [([2, 4.5, 8], "4.5"), ([2, 4, F(8)], "Fraction")])
+def test_decay_times_are_integers(times, shown):
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match=f"a walk time must be an integer, got {shown}"):
+        tame_decay_fit(cfg, r=2.0, radius=4, times=times, grid=64)
+    assert tame_decay_fit(cfg, r=2.0, radius=4, times=np.array([2, 4, 8]), grid=64).times == (2, 4, 8)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf")])
+def test_decay_needs_finite_r(r):
+    # a nan r gave a DecayFit whose sups and slope were all nan
+    cfg = circle_config(0, F(PHI))
+    with pytest.raises(ValueError, match="decay fit needs a finite r"):
+        tame_decay_fit(cfg, r=r, radius=4, times=[2, 4, 8], grid=64)
 
 
 @pytest.mark.parametrize("times", [[0, 4, 8], [-2, 4, 8]])
