@@ -168,6 +168,22 @@ def test_check_reports_structure(capsys):
     assert doc["provenance"]["version"]
 
 
+def test_check_names_a_jacobi_violation(capsys, tmp_path):
+    # nilpotent and adapted, but [[X3, X1], X2] = [X4, X2] = X5 is the
+    # whole Jacobi sum of (X1, X2, X3)
+    out = [(1, 2, 3, 1), (1, 3, 4, -1), (2, 4, 5, -1)]
+    doc = {"dim": 5, "brackets": [
+        {"i": i, "j": j, "out": [{"k": k, "num": num}]} for i, j, k, num in out
+    ]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert doc["jacobi_violation"] == {"triple": ["X1", "X2", "X3"],
+                                       "residual": ["0", "0", "0", "0", "1"]}
+
+
 def test_pencil_with_evaluation(capsys):
     code, out, _ = run(capsys, "pencil", "heisenberg", "-m", "2", "-p", "1", "--k", "1,0;0,1")
     doc = json.loads(out)
@@ -630,6 +646,9 @@ STDOUT_SHA256 = [
       "--probs", "1/3,2/3", "--character", "1,1", "-N", "256", "--trials", "400",
       "--seed", "2"], 0,
      "63f1d02e7b00933662a289b4373c7cb61cb6205a6b822151f24a231f2087455d"),
+    # no budget leaves every level undetermined: exit 3
+    (["certify", "filiform:6", "-m", "2", "--budget", "0"], 3,
+     "7e7dadfbe6c095f82e1dada90bbd0d2d6ccba2ef306f92480457d065a6bb01e9"),
 ]
 
 

@@ -546,6 +546,7 @@ def test_tampered_certificate_fails_verify():
         level3(kernel=(1.0, 0)),
         level3(proof=None),
         level3(proof="by_inspection"),
+        level3(proof="identically_zero", kernel=None),  # its pencil is not zero
         level3(status="great"),
         replace(good, step=good.step + 1),
         replace(good, levels=good.levels[:-1]),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from concurrent import futures
@@ -517,6 +518,25 @@ def test_decay_slope_steepens_with_smoothness():
         assert fit.sups[0] > fit.sups[-1]
     assert slopes[0] > slopes[1] > slopes[2]
     assert slopes[2] <= -1.0
+
+
+# SHA-256 of repr((sups, slope, intercept)) over r = 2.0 then 4.0, at
+# times (2, 4, 8, 16), per walk: fits on tori of dimension 2 and 3, whose
+# phases lam.x must be summed in the same order under every BLAS kernel
+# and SIMD dispatch
+DECAY_SHA256 = {
+    "golden-heisenberg": (4, 64, "e5af8c979e97a4a6fb8877dd133944773cd27c5ea1aa6f843b464f4cb0fa9d54"),
+    "triangular(3)": (2, 16, "9fb8edb48a75018831c8a1c098cdecb55c879526b727a1146ca650d8fe8e1a07"),
+}
+
+
+def test_decay_fit_bytes_pinned():
+    for name, (radius, grid, digest) in DECAY_SHA256.items():
+        cfg, h = WALKS[name](), hashlib.sha256()
+        for r in (2.0, 4.0):
+            fit = tame_decay_fit(cfg, r=r, radius=radius, times=(2, 4, 8, 16), grid=grid)
+            h.update(repr((fit.sups, fit.slope, fit.intercept)).encode())
+        assert h.hexdigest() == digest, name
 
 
 def test_decay_rejects_resonant_box():
