@@ -216,8 +216,6 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
                     c2[(i, j, z)] = rng.randint(-2, 2)
 
         def c1s(i, j, y):
-            if i == j:
-                return 0
             return c1[(i, j, y)] if i < j else -c1[(j, i, y)]
 
         # unknowns B[(i, y, z)]: coefficient of Z_z in [Xi, Y_y]
@@ -237,10 +235,7 @@ def random_step3(n0: int, n1: int, n2: int, seed: int) -> StructureConstants:
                             row[upos[(j, y, z)]] -= c1s(k, i, y)
                         if any(row):
                             rows.append(row)
-        basis = linalg.nullspace(rows) if rows else [
-            [Fraction(int(t == u)) for u in range(len(unknowns))]
-            for t in range(len(unknowns))
-        ]
+        basis = linalg.nullspace(rows or [[0] * len(unknowns)])
         if not basis:
             continue
         coeffs = [rng.randint(-2, 2) for _ in basis]

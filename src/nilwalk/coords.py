@@ -64,14 +64,6 @@ class CompiledMap:
         monos, rows = coefficient_rows(polys)
         self.monomials = tuple(tuple((i, e) for i, e in enumerate(m) if e) for m in monos)
         self.coef = np.array(rows, dtype=float).reshape(self.n_out, len(monos)).T.copy()
-        # constants and bare variables are filled in one step each
-        self._ones = [j for j, m in enumerate(self.monomials) if not m]
-        self._linear = [j for j, m in enumerate(self.monomials) if len(m) == 1 and m[0][1] == 1]
-        self._linear_vars = [self.monomials[j][0][0] for j in self._linear]
-        simple = set(self._ones) | set(self._linear)
-        self._products = [
-            (j, m) for j, m in enumerate(self.monomials) if j not in simple
-        ]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,14 +73,12 @@ class CompiledMap:
         if x.shape[1] != self.n_in:
             raise ValueError(f"expected {self.n_in} inputs, got {x.shape[1]}")
         vals = np.empty((x.shape[0], len(self.monomials)))
-        vals[:, self._ones] = 1.0
-        vals[:, self._linear] = x[:, self._linear_vars]
-        for j, varexps in self._products:
+        for j, varexps in enumerate(self.monomials):
             term = None
             for i, e in varexps:
                 f = x[:, i] if e == 1 else x[:, i] ** e
                 term = f if term is None else term * f
-            vals[:, j] = term
+            vals[:, j] = 1.0 if term is None else term  # the constant monomial
         out = vals @ self.coef
         return out[0] if single else out
 

@@ -431,15 +431,12 @@ def tame_decay_fit(
     bad = [e.lam for e in entries if e.resonant]
     if bad:
         raise ValueError(f"resonant frequencies in the box: {bad[:4]}")
-    # every product below is elementwise and every sum runs in a fixed
-    # order: a BLAS product rounds with or without FMA by kernel
+    # Character.values sums each phase lam.x in a fixed order, every
+    # product below is elementwise and every sum runs in a fixed order:
+    # a BLAS product rounds with or without FMA by kernel
     axes = [np.arange(grid) / grid] * n0
-    mesh = [g.ravel()[:, None] for g in np.meshgrid(*axes, indexing="ij")]
-    lams = np.asarray([e.lam[:n0] for e in entries], dtype=float)
-    arg = mesh[0] * lams[:, 0]  # (grid^n0, n_lam): lam . x, left to right
-    for k in range(1, n0):
-        arg += mesh[k] * lams[:, k]
-    phases = np.exp(2j * np.pi * arg)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n0)
+    phases = np.stack([Character(e.lam[:n0]).values(points) for e in entries], axis=1)
     p_re, p_im = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
     w = np.asarray([e.norm ** -r for e in entries])
     c = np.asarray([e.eigenvalue for e in entries])

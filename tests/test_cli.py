@@ -171,9 +171,9 @@ def test_check_reports_structure(capsys):
 def test_check_names_a_jacobi_violation(capsys, tmp_path):
     # nilpotent and adapted, but [[X3, X1], X2] = [X4, X2] = X5 is the
     # whole Jacobi sum of (X1, X2, X3)
-    out = [(1, 2, 3, 1), (1, 3, 4, -1), (2, 4, 5, -1)]
+    table = [(1, 2, 3, 1), (1, 3, 4, -1), (2, 4, 5, -1)]
     doc = {"dim": 5, "brackets": [
-        {"i": i, "j": j, "out": [{"k": k, "num": num}]} for i, j, k, num in out
+        {"i": i, "j": j, "out": [{"k": k, "num": num}]} for i, j, k, num in table
     ]}
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc))
